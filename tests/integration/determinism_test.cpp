@@ -12,6 +12,12 @@
 //      and n = 4096 (the regime the O(active)-memory sparse ledger
 //      storage targets; golden recorded from the dense-storage simulator
 //      immediately before the storage rewrite).
+//   3. the deal paths those runs miss are pinned by goldens recorded
+//      from the three-stage deal (set_union merge, row-major snake,
+//      replace_dealt write-back) before the one-pass deal kernel replaced
+//      it: [D7] analysis mode, pair-flow accounting (a migration
+//      recorder plus a hop-weighted topology), deterministic run_async
+//      and the serving workload's sparse, marker-heavy deals.
 // A mismatch here means the optimization changed observable behaviour —
 // which the §4 analysis (and every EXPERIMENTS.md number) forbids.
 #include <gtest/gtest.h>
@@ -20,6 +26,8 @@
 #include <vector>
 
 #include "core/system.hpp"
+#include "net/topology.hpp"
+#include "workload/serving.hpp"
 
 namespace dlb {
 namespace {
@@ -43,17 +51,9 @@ std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
   return hash;
 }
 
-RunSummary run_paper_workload(std::uint32_t n, std::uint32_t steps,
-                              std::uint64_t seed) {
-  BalancerConfig cfg;
-  cfg.f = 1.1;
-  cfg.delta = 4;
-  cfg.borrow_cap = 4;
-  System sys(n, cfg, seed);
-  Rng wl_rng(seed ^ 0x9e3779b97f4a7c15ull);
-  sys.run(Workload::paper_benchmark(n, steps, WorkloadParams{}, wl_rng));
+RunSummary summarize(const System& sys) {
   sys.check_invariants();
-
+  const std::uint32_t n = sys.processors();
   RunSummary out;
   out.loads = sys.loads();
   out.balance_ops = sys.balance_operations();
@@ -72,6 +72,27 @@ RunSummary run_paper_workload(std::uint32_t n, std::uint32_t steps,
   }
   out.state_hash = h;
   return out;
+}
+
+BalancerConfig paper_config() {
+  BalancerConfig cfg;
+  cfg.f = 1.1;
+  cfg.delta = 4;
+  cfg.borrow_cap = 4;
+  return cfg;
+}
+
+Workload paper_workload(std::uint32_t n, std::uint32_t steps,
+                        std::uint64_t seed) {
+  Rng wl_rng(seed ^ 0x9e3779b97f4a7c15ull);
+  return Workload::paper_benchmark(n, steps, WorkloadParams{}, wl_rng);
+}
+
+RunSummary run_paper_workload(std::uint32_t n, std::uint32_t steps,
+                              std::uint64_t seed) {
+  System sys(n, paper_config(), seed);
+  sys.run(paper_workload(n, steps, seed));
+  return summarize(sys);
 }
 
 void expect_identical(const RunSummary& a, const RunSummary& b) {
@@ -120,6 +141,23 @@ TEST(Determinism, PaperWorkload4096RunsTwiceIdentically) {
 // Golden values recorded from the dense reference implementation (the
 // simulator before the sparse-class fast path).  Any drift here means the
 // optimization changed packet movements or the RNG draw sequence.
+void expect_golden(const RunSummary& s, std::uint64_t balance_ops,
+                   std::uint64_t packets_moved, std::uint64_t moved_net,
+                   std::uint64_t packet_hops, std::uint64_t messages,
+                   std::uint64_t state_hash) {
+  std::int64_t load_sum = 0;
+  for (std::int64_t l : s.loads) load_sum += l;
+  EXPECT_EQ(load_sum, static_cast<std::int64_t>(s.generated) -
+                          static_cast<std::int64_t>(s.consumed));
+  EXPECT_EQ(s.balance_ops, balance_ops);
+  EXPECT_EQ(s.costs.balance_ops, balance_ops);
+  EXPECT_EQ(s.costs.packets_moved, packets_moved);
+  EXPECT_EQ(s.costs.packets_moved_net, moved_net);
+  EXPECT_EQ(s.costs.packet_hops, packet_hops);
+  EXPECT_EQ(s.costs.messages, messages);
+  EXPECT_EQ(s.state_hash, state_hash);
+}
+
 TEST(Determinism, GoldenTrace64) {
   const RunSummary& s = summary64();
   std::int64_t load_sum = 0;
@@ -166,6 +204,75 @@ TEST(Determinism, GoldenTrace4096) {
   EXPECT_EQ(s.costs.messages, 329624ull);
   EXPECT_EQ(s.costs.partner_links, 164812ull);
   EXPECT_EQ(s.state_hash, 8169236399539953127ull);
+}
+
+// ---- Deal-path goldens ---------------------------------------------------
+
+// [D7] analysis mode: a non-initiating participant's own class is dealt
+// among the other participants only (excluded columns in the deal).
+TEST(Determinism, GoldenAnalysisMode64) {
+  BalancerConfig cfg = paper_config();
+  cfg.analysis_mode = true;
+  System sys(64, cfg, 1993);
+  sys.run(paper_workload(64, 400, 1993));
+  expect_golden(summarize(sys), 7404ull, 325788ull, 13729ull, 325788ull,
+                59232ull, 12951004998523805190ull);
+}
+
+// Hashes the on_migration stream: pair-flow accounting must report the
+// same (from, to, count) flows in the same order (ItemSystem moves its
+// payload objects by them).
+class MigrationHash final : public Recorder {
+ public:
+  void on_migration(std::uint32_t from, std::uint32_t to,
+                    std::uint64_t count) override {
+    hash = fnv1a(fnv1a(fnv1a(hash, from), to), count);
+    ++calls;
+  }
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  std::uint64_t calls = 0;
+};
+
+// Pair-flow mode: a recorder is attached and costs are hop-weighted on
+// an 8x8 torus, so every deal runs the greedy surplus/deficit matching.
+TEST(Determinism, GoldenPairFlowsHopWeighted64) {
+  const Topology torus = Topology::torus2d(8, 8);
+  System sys(64, paper_config(), 1993, &torus);
+  MigrationHash flows;
+  sys.attach_recorder(&flows);
+  sys.run(paper_workload(64, 400, 1993));
+  expect_golden(summarize(sys), 9484ull, 425427ull, 14016ull, 1732610ull,
+                75872ull, 1213408750952030548ull);
+  EXPECT_EQ(flows.calls, 425426ull);
+  EXPECT_EQ(flows.hash, 8445404555051999465ull);
+}
+
+// Deterministic run_async: 2 shards, epoch 16 (the benchmark's pinned
+// shape); its deals run on the shard threads' own scratch.
+TEST(Determinism, GoldenAsyncDeterministic64) {
+  System sys(64, paper_config(), 1993);
+  AsyncOptions options;
+  options.epoch_steps = 16;
+  sys.run_async(paper_workload(64, 400, 1993), 2, options);
+  expect_golden(summarize(sys), 1710ull, 62102ull, 6262ull, 62102ull, 13680ull,
+                16726175920516092482ull);
+}
+
+// Serving: Zipf traffic at n = 256 — sparse deals, most of them with
+// borrow markers in play.
+TEST(Determinism, GoldenServing256) {
+  BalancerConfig cfg;
+  cfg.f = 1.1;
+  cfg.delta = 2;
+  cfg.borrow_cap = 4;
+  ServingParams params;
+  params.alpha = 1.1;
+  params.sessions = 20000;
+  params.flash_crowds = 1;
+  System sys(256, cfg, 1993);
+  sys.run(ServingWorkload::build(256, 200, params, 7));
+  expect_golden(summarize(sys), 2218ull, 4344ull, 3039ull, 4344ull, 8872ull,
+                11649312090826148266ull);
 }
 
 }  // namespace
