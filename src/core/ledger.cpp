@@ -32,6 +32,56 @@ MergeScratch& merge_scratch() {
   return scratch;
 }
 
+// Result of rebuild_pass.
+struct RebuildPass {
+  std::size_t entries = 0;  // nonzero entries written
+  std::int64_t real = 0;
+  std::int64_t borrowed = 0;
+  std::int64_t bad = 0;  // nonzero iff some per-cell check failed
+  const std::uint32_t* own_at = nullptr;  // the own class within cls
+};
+
+// Ledger::rebuild_dealt's single pass: writes every column into slot
+// `entries` of the compact vectors and advances past it only when it is
+// nonzero.  The per-cell checks (d >= 0, b in {0, 1}, classes strictly
+// ascending) fold into `bad` with no branch; the own class is located on
+// the way.  Instantiated with and without marker values.
+template <bool kMarkers>
+RebuildPass rebuild_pass(const std::uint32_t* cls, std::size_t k,
+                         const std::int64_t* d_vals,
+                         const std::int64_t* b_vals, std::size_t stride,
+                         std::uint32_t own, std::uint32_t* active,
+                         std::int64_t* d_counts, std::int64_t* b_counts) {
+  std::size_t out = 0;
+  std::int64_t real = 0;
+  std::int64_t borrowed = 0;
+  std::int64_t bad = 0;
+  std::int64_t prev = -1;
+  const std::uint32_t* own_at = nullptr;
+  const std::uint32_t* const end = cls + k;
+  for (const std::uint32_t* it = cls; it != end; ++it) {
+    const std::uint32_t j = *it;
+    const std::int64_t d = *d_vals;
+    d_vals += stride;
+    std::int64_t b = 0;
+    if constexpr (kMarkers) {
+      b = *b_vals;
+      b_vals += stride;
+    }
+    active[out] = j;
+    d_counts[out] = d;
+    b_counts[out] = b;
+    out += (d | b) != 0 ? 1 : 0;
+    real += d;
+    borrowed += b;
+    bad |= (d >> 63) | (b & ~std::int64_t{1}) |
+           (static_cast<std::int64_t>(j) <= prev ? 1 : 0);
+    prev = j;
+    own_at = j == own ? it : own_at;
+  }
+  return {out, real, borrowed, bad, own_at};
+}
+
 }  // namespace
 
 Ledger::Ledger(std::uint32_t classes) : classes_(classes) {
@@ -262,55 +312,61 @@ void Ledger::apply_dealt(const std::uint32_t* cls, std::size_t k,
   marked_.swap(marked_merge_);
 }
 
-void Ledger::replace_dealt(const std::uint32_t* cls, std::size_t k,
-                           const std::int64_t* d_vals,
-                           const std::int64_t* b_vals) {
-  DLB_REQUIRE(cls != nullptr || k == 0, "null class list");
-  // Pass 1 (pure reads): validate the dealt columns, verify the superset
-  // precondition by walking the old active list alongside cls, and sum the
-  // new totals.  Because cls covers every active class, the post state is
-  // determined by the dealt arrays alone: real_/borrowed_ are plain sums
-  // and no old entry survives outside cls.
-  std::size_t ai = 0;
-  std::uint32_t prev = 0;
-  std::int64_t real = 0;
-  std::int64_t borrowed = 0;
-  for (std::size_t c = 0; c < k; ++c) {
-    const std::uint32_t j = cls[c];
-    DLB_REQUIRE(j < classes_, "load class out of range");
-    DLB_REQUIRE(c == 0 || j > prev, "class list must be strictly ascending");
-    prev = j;
-    DLB_REQUIRE(d_vals[c] >= 0, "negative real count");
-    DLB_REQUIRE(b_vals[c] == 0 || b_vals[c] == 1,
-                "marker counts are 0 or 1 (paper, §4)");
-    if (ai < active_.size() && active_[ai] == j) ++ai;
-    real += d_vals[c];
-    borrowed += b_vals[c];
-  }
-  DLB_REQUIRE(ai == active_.size(),
-              "replace_dealt needs cls to cover every active class");
-  // Pass 2: rebuild the compact storage in place — the old contents are
-  // fully superseded, so no merge (and no scratch buffer) is needed.
-  active_.clear();
-  d_counts_.clear();
-  b_counts_.clear();
-  marked_.clear();
+ClassCounts Ledger::rebuild_dealt(const std::uint32_t* cls, std::size_t k,
+                                  const std::int64_t* d_vals,
+                                  const std::int64_t* b_vals,
+                                  std::size_t stride, std::uint32_t own) {
+  DLB_REQUIRE((cls != nullptr && d_vals != nullptr) || k == 0,
+              "null dealt columns");
+  DLB_REQUIRE(stride >= 1, "dealt column stride must be positive");
+  DLB_REQUIRE(k >= active_.size(),
+              "rebuild_dealt needs cls to cover every active class");
+  // Every column writes its slot unconditionally and the cursor only
+  // moves past nonzero entries, so the vectors are sized to k up front
+  // (same growth policy as a push_back rebuild) and trimmed at the end.
   if (active_.capacity() < k) {
     const std::size_t cap = std::max(k, 2 * active_.capacity());
     active_.reserve(cap);
     d_counts_.reserve(cap);
     b_counts_.reserve(cap);
   }
-  for (std::size_t c = 0; c < k; ++c) {
-    if (d_vals[c] > 0 || b_vals[c] > 0) {
-      active_.push_back(cls[c]);
-      d_counts_.push_back(d_vals[c]);
-      b_counts_.push_back(b_vals[c]);
-      if (b_vals[c] > 0) marked_.push_back(cls[c]);
+  active_.resize(k);
+  d_counts_.resize(k);
+  b_counts_.resize(k);
+  const RebuildPass pass =
+      b_vals != nullptr
+          ? rebuild_pass<true>(cls, k, d_vals, b_vals, stride, own,
+                               active_.data(), d_counts_.data(),
+                               b_counts_.data())
+          : rebuild_pass<false>(cls, k, d_vals, b_vals, stride, own,
+                                active_.data(), d_counts_.data(),
+                                b_counts_.data());
+  active_.resize(pass.entries);
+  d_counts_.resize(pass.entries);
+  b_counts_.resize(pass.entries);
+  real_ = pass.real;
+  borrowed_ = pass.borrowed;
+  if (pass.bad != 0 || (k > 0 && cls[k - 1] >= classes_)) {
+    // Precise re-check over the inputs: names the first violation.
+    for (std::size_t c = 0; c < k; ++c) {
+      DLB_REQUIRE(cls[c] < classes_, "load class out of range");
+      DLB_REQUIRE(c == 0 || cls[c] > cls[c - 1],
+                  "class list must be strictly ascending");
+      DLB_REQUIRE(d_vals[c * stride] >= 0, "negative real count");
+      const std::int64_t b = b_vals != nullptr ? b_vals[c * stride] : 0;
+      DLB_REQUIRE(b == 0 || b == 1, "marker counts are 0 or 1 (paper, §4)");
     }
   }
-  real_ = real;
-  borrowed_ = borrowed;
+  marked_.clear();
+  for (std::size_t i = 0; i < pass.entries && pass.borrowed > 0; ++i)
+    if (b_counts_[i] != 0) marked_.push_back(active_[i]);
+  ClassCounts mine;
+  if (pass.own_at != nullptr) {
+    const auto c = static_cast<std::size_t>(pass.own_at - cls);
+    mine.d = d_vals[c * stride];
+    mine.b = b_vals != nullptr ? b_vals[c * stride] : 0;
+  }
+  return mine;
 }
 
 void Ledger::replace(std::vector<std::int64_t> d_new,

@@ -15,16 +15,18 @@
 // Two entry points share that dealing logic:
 //   * the dense overload takes an m x n matrix over every load class —
 //     the reference implementation, kept for tests and small callers;
-//   * the compact overload takes a flat row-major m x k matrix whose k
+//   * snake_deal_columns takes a flat column-major m x k matrix whose k
 //     columns are an arbitrary (ascending) subset of the classes — the
-//     balancing hot path passes only the classes actually populated by
-//     some participant.  A column that is all zero never advances the
-//     circulating pointer (its pool and remainder are zero), so dealing
-//     over the nonzero subset is bit-identical to dealing over all n
-//     classes.
+//     balance deal passes only the classes some participant holds.  A
+//     column that is all zero never advances the circulating pointer
+//     (its pool and remainder are zero), so dealing over the nonzero
+//     subset is bit-identical to dealing over all n classes.  Each
+//     column is dealt branch-free: with pool = base * m + r, rows
+//     ptr .. ptr + r - 1 (mod m) get base + 1 and the rest base.
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 namespace dlb {
@@ -45,12 +47,12 @@ struct SnakeOptions {
   const std::vector<std::size_t>* excluded_participant_per_class = nullptr;
 };
 
-/// Receives the per-column packet flows of a compact deal: after each
-/// column is dealt, its surplus rows are greedily matched (both sides in
-/// ascending row order) against its deficit rows and each resulting flow
-/// is reported once.  This is the delta accounting that replaced the
-/// before/after matrix diff (count_moves): the flows are computed during
-/// the deal, so callers need no pre-deal copy of the matrix.
+/// Receives the per-column packet flows of snake_deal_columns: after
+/// each column is dealt, its surplus rows are greedily matched (both
+/// sides in ascending row order) against its deficit rows and each
+/// resulting flow is reported once.  Only callers that attribute traffic
+/// to (from, to) pairs — a migration recorder, hop-weighted costs — pass
+/// a sink; the matching is skipped otherwise.
 class SnakeFlowSink {
  public:
   virtual ~SnakeFlowSink() = default;
@@ -58,39 +60,36 @@ class SnakeFlowSink {
   /// row `from` to participant row `to`.
   virtual void on_flow(std::size_t col, std::size_t from, std::size_t to,
                        std::int64_t amount) = 0;
-
-  /// When false, the kernel skips the greedy surplus/deficit matching and
-  /// reports each changed column once through on_column_moved instead of
-  /// per-pair on_flow calls.  Sinks that only aggregate totals (no
-  /// per-pair attribution: no migration recorder, no hop-weighted
-  /// topology) opt out of the matching this way — the aggregate numbers
-  /// are identical because every matched flow decomposes into the same
-  /// per-row deltas.
-  virtual bool wants_pair_flows() const { return true; }
-
-  /// Aggregate report for one dealt column (only when wants_pair_flows()
-  /// is false and something moved): `moved` (> 0) is the column's total
-  /// surplus = sum of the matched-flow amounts; delta_per_row[p] is the
-  /// signed count change of participant row p (sums to zero).
-  virtual void on_column_moved(std::size_t col, std::int64_t moved,
-                               const std::int64_t* delta_per_row) {
-    (void)col;
-    (void)moved;
-    (void)delta_per_row;
-  }
 };
 
-/// Options for the compact overload.
-struct SnakeCompactOptions {
+/// [D7] exclusion for snake_deal_columns: participant row `row` keeps its
+/// count of column `column` and receives none of that column's pool.
+struct SnakeExclusion {
+  std::size_t column = 0;
+  std::size_t row = 0;
+};
+
+/// Options for snake_deal_columns.
+struct SnakeColumnOptions {
   /// Initial dealing position in [0, rows).
   std::size_t start = 0;
 
-  /// [D7] per-column exclusion, SIZE_MAX = none; length = columns when
-  /// non-null.
-  const std::size_t* excluded_row_per_column = nullptr;
+  /// Exclusions, strictly ascending by column, each row < rows.
+  const SnakeExclusion* exclusions = nullptr;
+  std::size_t exclusion_count = 0;
 
-  /// Optional flow observer (delta accounting during the deal).
+  /// Optional pair-flow observer.
   SnakeFlowSink* flows = nullptr;
+};
+
+/// What a column deal returns besides the dealt cells.
+struct SnakeDealResult {
+  /// Final dealing pointer: the start of a chained deal (real packets
+  /// then borrow markers) that must stay balanced as a whole.
+  std::size_t ptr = 0;
+  /// Gross moves: the sum over columns of the packets that left their
+  /// row (each column's surplus; equal to the sum of reported flows).
+  std::uint64_t moved = 0;
 };
 
 /// Redistributes counts[p][j] (participant p, class j) in place subject to
@@ -101,18 +100,36 @@ struct SnakeCompactOptions {
 std::size_t snake_redistribute(std::vector<std::vector<std::int64_t>>& counts,
                                const SnakeOptions& options = {});
 
-/// Compact overload: `counts` is a flat row-major `rows` x `columns`
-/// scratch matrix whose columns are the active-class subset.  Deals in
-/// place, reports flows through options.flows (if set), and returns the
-/// final dealing pointer.  Bit-identical to the dense overload restricted
+/// Column kernel: `cells` is a flat column-major `rows` x `columns`
+/// matrix (column c occupies cells[c * rows, (c + 1) * rows)) whose
+/// columns are the active-class subset.  Deals in place, reports pair
+/// flows through options.flows (if set) and returns the final pointer
+/// and the gross moves.  Bit-identical to the dense overload restricted
 /// to the nonzero columns (see the header comment).
-std::size_t snake_redistribute(std::int64_t* counts, std::size_t rows,
-                               std::size_t columns,
-                               const SnakeCompactOptions& options);
+SnakeDealResult snake_deal_columns(std::int64_t* cells, std::size_t rows,
+                                   std::size_t columns,
+                                   const SnakeColumnOptions& options);
 
-/// Pre-sizes the calling thread's flow-accounting scratch for deals with
-/// up to `rows` participants, so the thread's first flow-reporting deal
-/// allocates nothing (DESIGN.md §11).  Never shrinks.
-void snake_warm_thread_scratch(std::size_t rows);
+namespace detail {
+
+/// Calls f(std::integral_constant<std::size_t, M>{}) with M = rows for
+/// the small participant counts the drivers deal with (delta + 1 <= 9),
+/// so per-row loops unroll at compile time; M = 0 means "read rows".
+template <typename F>
+decltype(auto) with_row_count(std::size_t rows, F&& f) {
+  switch (rows) {
+    case 2: return f(std::integral_constant<std::size_t, 2>{});
+    case 3: return f(std::integral_constant<std::size_t, 3>{});
+    case 4: return f(std::integral_constant<std::size_t, 4>{});
+    case 5: return f(std::integral_constant<std::size_t, 5>{});
+    case 6: return f(std::integral_constant<std::size_t, 6>{});
+    case 7: return f(std::integral_constant<std::size_t, 7>{});
+    case 8: return f(std::integral_constant<std::size_t, 8>{});
+    case 9: return f(std::integral_constant<std::size_t, 9>{});
+    default: return f(std::integral_constant<std::size_t, 0>{});
+  }
+}
+
+}  // namespace detail
 
 }  // namespace dlb

@@ -258,8 +258,8 @@ class System {
 
   // Zero-alloc opt-in (reserve_classes > 0, DESIGN.md §11): pre-sizes
   // every lazily-grown thread_local on the balancing path — balance
-  // scratch, borrow candidates, ledger merge buffers, snake flow
-  // scratch, the partner-draw pool — to its analytic bound.  Each driver
+  // scratch, borrow candidates, ledger merge buffers, the partner-draw
+  // pool — to its analytic bound.  Each driver
   // calls this once per worker thread at startup, so a thread whose
   // first balancing operation lands late in the run does not pay its
   // one-time warmup there.  No-op without the opt-in.
@@ -269,19 +269,23 @@ class System {
   void balance(std::uint32_t initiator, const std::vector<ProcId>& partners,
                Rng& rng);
 
-  // The reusable core of balance(): the snake deal, write-back and
-  // accounting, WITHOUT the trailing self-marker cancels (the sequential
-  // wrapper runs those inline; the async engine routes them to the
-  // participants' owner shards as messages).  Costs land in `costs` (the
-  // sequential drivers pass costs_, the async shards their private
-  // ledgers merged at the end); `cancel_due`, when non-null, collects
-  // the participants left holding own-class markers; `tid` is the trace
-  // track.  Thread-safe under the async locking protocol: all
-  // participant ledgers must be exclusively held by the caller.
-  void balance_deal(std::uint32_t initiator,
-                    const std::vector<ProcId>& partners, Rng& rng,
-                    CostLedger& costs, std::vector<ProcId>* cancel_due,
-                    std::uint32_t tid = 0);
+  // The reusable core of balance(): one kernel that merges the
+  // participants' ledgers into the class union and count matrix, deals
+  // it with the snake and rebuilds each ledger in one pass, plus the
+  // accounting — WITHOUT the trailing self-marker cancels (the
+  // sequential wrapper runs those inline; the async engine routes them
+  // to the participants' owner shards as messages).  Costs land in
+  // `costs` (the sequential drivers pass costs_, the async shards their
+  // private ledgers merged at the end); `cancel_due`, when non-null,
+  // collects the participants left holding own-class markers; `tid` is
+  // the trace track.  Returns how many participants are left holding
+  // own-class markers.  Thread-safe under the async locking protocol:
+  // all participant ledgers must be exclusively held by the caller.
+  std::size_t balance_deal(std::uint32_t initiator,
+                           const std::vector<ProcId>& partners, Rng& rng,
+                           CostLedger& costs,
+                           std::vector<ProcId>* cancel_due,
+                           std::uint32_t tid = 0);
 
   // Draws the delta partners for `initiator` (global or neighborhood)
   // into `out`, reusing its capacity.  Callers lease `out` from the
@@ -344,15 +348,16 @@ class System {
   obs::TraceBuffer* trace_ = nullptr;
   CostLedger costs_;
   // Run counters are atomic so the async shards can commit concurrently
-  // (relaxed adds; no ordering is derived from them).  The sequential
-  // drivers pay nothing: an uncontended relaxed add is a plain add.
+  // (relaxed adds; no ordering is derived from them).  Even uncontended,
+  // a relaxed fetch_add is a locked read-modify-write on x86, not a
+  // plain add, so commit() skips the fields that are zero.
   AtomicCounter generated_;
   AtomicCounter consumed_;
   AtomicCounter balance_ops_;
   std::optional<unsigned> partner_radius_;
   bool post_step_check_ = false;
-  // The balancing scratch matrices (compact (delta+1) x k deal buffers)
-  // live in a thread_local inside balance_deal — run_async executes
+  // The balancing scratch (merge copies, (delta+1) x k deal matrices)
+  // lives in a thread_local inside balance_deal — run_async executes
   // balancing operations concurrently, one per shard thread — as does
   // the borrow-candidate scratch inside try_borrow.
   // Delta-maintained loads for the recorder path (see touch_load).

@@ -98,32 +98,80 @@ TEST(Ledger, ReplaceValidatesShapeAndSign) {
   EXPECT_THROW(ledger.replace({0, 0}, {0, -2}), contract_error);
 }
 
-TEST(Ledger, ReplaceDealtRequiresSupersetOfActive) {
+TEST(Ledger, RebuildDealtRequiresSupersetOfActive) {
   Ledger ledger(6);
   ledger.add_real(2, 3);
   ledger.add_real(4, 1);
   // Covering {2, 4} works and fully replaces the state (class 2 keeps
-  // only a marker, class 1 is newly inserted).
+  // only a marker, class 1 is newly inserted).  The values are read with
+  // stride 2, as one row of a two-participant dealt matrix (the other
+  // row's cells hold junk), and the own class 4 comes back.
   const std::uint32_t cls[] = {1, 2, 4};
-  const std::int64_t d_vals[] = {5, 0, 2};
-  const std::int64_t b_vals[] = {0, 1, 0};
-  ledger.replace_dealt(cls, 3, d_vals, b_vals);
+  const std::int64_t d_vals[] = {5, -7, 0, -7, 2, -7};
+  const std::int64_t b_vals[] = {0, 9, 1, 9, 0, 9};
+  const ClassCounts own = ledger.rebuild_dealt(cls, 3, d_vals, b_vals, 2, 4);
+  EXPECT_EQ(own.d, 2);
+  EXPECT_EQ(own.b, 0);
   EXPECT_EQ(ledger.d(1), 5);
   EXPECT_EQ(ledger.d(2), 0);
   EXPECT_EQ(ledger.b(2), 1);
   EXPECT_EQ(ledger.d(4), 2);
   EXPECT_EQ(ledger.real_load(), 7);
   EXPECT_EQ(ledger.borrowed_total(), 1);
+  EXPECT_EQ(ledger.marked_classes(), (std::vector<std::uint32_t>{2}));
   ledger.check(1);
   // Omitting an active class (2 still holds a marker) breaks the
-  // superset precondition; the contract check fires before any mutation.
+  // superset precondition; with fewer classes than active entries the
+  // contract check fires before any mutation.
   const std::uint32_t missing[] = {1, 4};
   const std::int64_t dv[] = {1, 1};
-  const std::int64_t bv[] = {0, 0};
-  EXPECT_THROW(ledger.replace_dealt(missing, 2, dv, bv), contract_error);
+  EXPECT_THROW(ledger.rebuild_dealt(missing, 2, dv, nullptr, 1, 1),
+               contract_error);
   EXPECT_EQ(ledger.real_load(), 7);  // untouched by the rejected call
   EXPECT_EQ(ledger.borrowed_total(), 1);
   ledger.check(1);
+  // Without marker values every b is zero; an own class outside cls
+  // reads as zero.
+  const std::uint32_t all[] = {1, 2, 3, 4};
+  const std::int64_t fresh[] = {0, 2, 0, 3};
+  const ClassCounts none = ledger.rebuild_dealt(all, 4, fresh, nullptr, 1, 5);
+  EXPECT_EQ(none.d, 0);
+  EXPECT_EQ(none.b, 0);
+  EXPECT_EQ(ledger.active_classes(), (std::vector<std::uint32_t>{2, 4}));
+  EXPECT_EQ(ledger.borrowed_total(), 0);
+  EXPECT_TRUE(ledger.marked_classes().empty());
+  ledger.check(0);
+}
+
+TEST(Ledger, RebuildDealtRejectsBadCells) {
+  const std::uint32_t cls[] = {0, 1, 2};
+  const std::uint32_t descending[] = {0, 2, 1};
+  const std::uint32_t out_of_range[] = {0, 1, 3};
+  const std::int64_t d_ok[] = {1, 2, 3};
+  const std::int64_t d_negative[] = {1, -2, 3};
+  const std::int64_t b_ok[] = {0, 1, 0};
+  const std::int64_t b_two[] = {0, 2, 0};
+  const std::int64_t b_negative[] = {0, -1, 0};
+  Ledger ledger(3);
+  EXPECT_THROW(ledger.rebuild_dealt(cls, 3, d_negative, b_ok, 1, 0),
+               contract_error);
+  EXPECT_THROW(ledger.rebuild_dealt(cls, 3, d_ok, b_two, 1, 0),
+               contract_error);
+  EXPECT_THROW(ledger.rebuild_dealt(cls, 3, d_ok, b_negative, 1, 0),
+               contract_error);
+  EXPECT_THROW(ledger.rebuild_dealt(descending, 3, d_ok, b_ok, 1, 0),
+               contract_error);
+  EXPECT_THROW(ledger.rebuild_dealt(out_of_range, 3, d_ok, b_ok, 1, 0),
+               contract_error);
+  EXPECT_THROW(ledger.rebuild_dealt(nullptr, 3, d_ok, b_ok, 1, 0),
+               contract_error);
+  EXPECT_THROW(ledger.rebuild_dealt(cls, 3, d_ok, b_ok, 0, 0),
+               contract_error);
+  Ledger fine(3);
+  const ClassCounts own = fine.rebuild_dealt(cls, 3, d_ok, b_ok, 1, 1);
+  EXPECT_EQ(own.d, 2);
+  EXPECT_EQ(own.b, 1);
+  fine.check(1);
 }
 
 TEST(Ledger, FirstMarkedClass) {
@@ -161,8 +209,8 @@ TEST(Ledger, OutOfRangeClassThrows) {
 //     zero entries, strictly ascending keys, parallel shapes).
 // Exercises every mutator: add/remove/borrow/clear (settle)/repay/
 // set_d/set_b/replace, the general merge write-back apply_dealt with
-// random ascending class subsets, and the hot-path rebuild write-back
-// replace_dealt with random supersets of the active list.
+// random ascending class subsets, and the balance-deal write-back
+// rebuild_dealt with random supersets of the active list.
 
 struct DenseReference {
   std::vector<std::int64_t> d;
@@ -314,11 +362,13 @@ TEST(LedgerProperty, SparseStorageTracksDenseReferenceUnderRandomOps) {
         break;
       }
       case 9: {
-        // Hot-path write-back: cls must cover every active class.  Build
-        // it as the current active list plus random extra classes, with
-        // fresh random values — zeros included, so covered entries drop
-        // and extra classes may insert.  The old state is irrelevant to
-        // the result, so the reference resets wholesale.
+        // Balance-deal write-back: cls must cover every active class.
+        // Build it as the current active list plus random extra classes,
+        // with fresh random values — zeros included, so covered entries
+        // drop and extra classes may insert.  The values sit in row 1 of
+        // a three-row column-major matrix (stride 3).  The old state is
+        // irrelevant to the result, so the reference resets wholesale.
+        constexpr std::size_t kRows = 3;
         std::vector<std::uint32_t> cls;
         std::vector<std::int64_t> d_vals;
         std::vector<std::int64_t> b_vals;
@@ -330,21 +380,26 @@ TEST(LedgerProperty, SparseStorageTracksDenseReferenceUnderRandomOps) {
           if (required) ++ai;
           if (!required && rng.below(3) != 0) continue;
           cls.push_back(c);
-          d_vals.push_back(static_cast<std::int64_t>(rng.below(4)));
+          d_vals.insert(d_vals.end(), kRows, -1);
+          d_vals[d_vals.size() - 2] = static_cast<std::int64_t>(rng.below(4));
+          b_vals.insert(b_vals.end(), kRows, 5);
+          b_vals[b_vals.size() - 2] = 0;
           if (budget > 0 && rng.below(4) == 0) {
-            b_vals.push_back(1);
+            b_vals[b_vals.size() - 2] = 1;
             --budget;
-          } else {
-            b_vals.push_back(0);
           }
         }
-        ledger.replace_dealt(cls.data(), cls.size(), d_vals.data(),
-                             b_vals.data());
+        const bool markers = budget < kCap || rng.below(2) == 0;
+        const ClassCounts own = ledger.rebuild_dealt(
+            cls.data(), cls.size(), d_vals.data() + 1,
+            markers ? b_vals.data() + 1 : nullptr, kRows, j);
         ref = DenseReference(kClasses);
         for (std::size_t i = 0; i < cls.size(); ++i) {
-          ref.d[cls[i]] = d_vals[i];
-          ref.b[cls[i]] = b_vals[i];
+          ref.d[cls[i]] = d_vals[i * kRows + 1];
+          ref.b[cls[i]] = markers ? b_vals[i * kRows + 1] : 0;
         }
+        EXPECT_EQ(own.d, ref.d[j]);
+        EXPECT_EQ(own.b, ref.b[j]);
         break;
       }
     }

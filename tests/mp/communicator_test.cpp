@@ -64,12 +64,12 @@ TEST(Communicator, TryRecvDoesNotBlock) {
   world.launch([](Comm& comm) {
     if (comm.rank() == 0) {
       EXPECT_FALSE(comm.try_recv().has_value());
-      comm.barrier();          // rank 1 sends before the barrier
+      comm.barrier();          // rank 1 sends only after the barrier
       const auto msg = comm.recv(1, 5);
       EXPECT_EQ(msg.payload[0], 99);
     } else {
-      comm.send(0, 5, {99});
       comm.barrier();
+      comm.send(0, 5, {99});
     }
   });
 }
