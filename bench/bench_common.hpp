@@ -71,7 +71,7 @@ class JsonRows {
 
   /// Folds every instrument whose name starts with `prefix` into `row`:
   /// counters/gauges as "<name>", histograms as "<name>.{count,mean,
-  /// p50,p99}" — so e.g. run_parallel barrier-wait percentiles land in
+  /// p50,p99}" — so e.g. run_async quiescence-wait percentiles land in
   /// the same row as the wall-clock columns.
   static void append_metrics(Row& row, const obs::MetricsSnapshot& snap,
                              const std::string& prefix) {

@@ -296,8 +296,8 @@ bool System::try_borrow(std::uint32_t p, Rng& rng, StepCounters& counters) {
     return false;
   // Candidates {j : d[j] > 0, b[j] == 0} enumerated over the active
   // classes only — ascending, like the dense scan, so the drawn index
-  // maps to the same class.  Thread-local scratch: the sharded phase-1
-  // workers borrow concurrently.
+  // maps to the same class.  Thread-local scratch: the async shards'
+  // local phases borrow concurrently.
   std::vector<std::uint32_t>& candidates = borrow_candidates();
   candidates.clear();
   const auto& active = ledger.active_classes();

@@ -16,9 +16,10 @@
 //
 // All randomness flows through one seeded generator, so a (seed, workload)
 // pair fully determines a run — the property the 100-run experiment
-// harnesses and the record/replay tests rely on.  run_parallel shards
+// harnesses and the record/replay tests rely on.  run_async shards
 // the step loop across threads with per-shard split RNG streams; its
-// runs are determined by (seed, workload, shards) instead.
+// deterministic runs are determined by (seed, workload, shards,
+// epoch_steps) instead.
 #pragma once
 
 #include <atomic>
@@ -109,12 +110,12 @@ class System {
   void attach_recorder(Recorder* recorder) { recorder_ = recorder; }
 
   /// Operational metrics (src/obs): balance/borrow/settle counters, the
-  /// per-step active-processor gauge, balance-duration and run_parallel
-  /// phase histograms.  May be null (detached); not owned.  Hot paths
-  /// pay only a null check while detached.
+  /// per-step active-processor gauge, balance-duration and run_async
+  /// drain/quiescence histograms.  May be null (detached); not owned.
+  /// Hot paths pay only a null check while detached.
   void attach_metrics(obs::MetricsRegistry* registry);
 
-  /// Structured trace sink (src/obs): step, balance-op and run_parallel
+  /// Structured trace sink (src/obs): step, balance-op and run_async
   /// shard-phase spans.  May be null; not owned.  Recording also honours
   /// the buffer's own enabled() gate.
   void attach_trace(obs::TraceBuffer* trace) { trace_ = trace; }
@@ -136,16 +137,6 @@ class System {
   /// the batched path against; produces the same results as run().
   void run_reference(const Workload& workload);
 
-  /// Shards the step loop across `shards` threads: processors are
-  /// partitioned into contiguous blocks, each with its own split RNG
-  /// stream and compiled schedule.  Each step runs a parallel local
-  /// phase (generate/consume/borrow against the own ledger only) and a
-  /// serial phase that executes the deferred balance triggers and borrow
-  /// settlements — the operations that touch other shards' ledgers — in
-  /// shard order.  Reproducible given (seed, workload, shards); NOT
-  /// bit-identical to run() (the RNG stream layout differs by design).
-  void run_parallel(const Workload& workload, std::uint32_t shards);
-
   /// Barrier-free sharded driver: shards own processors round-robin
   /// (owner = p mod shards), advance their own strided schedule in
   /// epochs, and route cross-shard work (balance triggers, marker
@@ -166,8 +157,9 @@ class System {
   /// Applies one global step given each processor's event.
   void step(std::uint32_t t, const std::vector<WorkEvent>& events);
 
-  /// Test hook: when enabled, every run()/run_parallel() step ends with
-  /// check_invariants() (packet conservation after each global step).
+  /// Test hook: when enabled, every run() step ends with
+  /// check_invariants() (packet conservation after each global step);
+  /// run_async checks per epoch or at the end of the run instead.
   void set_post_step_check(bool enabled) { post_step_check_ = enabled; }
 
   // ---- Direct manipulation (tests, examples, one-processor models) ----
@@ -214,11 +206,11 @@ class System {
   // balancing core, and the counters (all atomic or per-thread).
   friend class AsyncEngine;
 
-  // Per-call event counters.  The sharded phase-1 workers run
-  // generate/consume concurrently, so the shared totals (and the
-  // recorder) cannot be bumped from inside those paths; counts accumulate
-  // here and are committed at a serial point.  The sequential wrappers
-  // commit immediately after each call, preserving the original stream.
+  // Per-call event counters.  The async shards run generate/consume
+  // concurrently, so the shared totals (and the recorder) cannot be
+  // bumped from inside those paths; counts accumulate here and are
+  // committed at a safe point.  The sequential wrappers commit
+  // immediately after each call, preserving the original stream.
   struct StepCounters {
     std::uint64_t generated = 0;
     std::uint64_t consumed = 0;
@@ -235,7 +227,7 @@ class System {
   };
 
   // Internal paths take the Rng to draw from explicitly: the sequential
-  // drivers pass rng_, the sharded driver its per-shard streams.
+  // drivers pass rng_, the async shards their per-shard streams.
 
   // Ledger mutation + counter halves of generate/consume: touch only
   // processor p's own ledger (safe to run in parallel across disjoint

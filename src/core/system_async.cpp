@@ -1,11 +1,8 @@
 // System::run_async — the barrier-free asynchronous sharded step engine.
 //
-// run_parallel (system_parallel.cpp) pays two barrier waits per step, and
-// the PR-5 phase histograms showed those barriers dominating under sparse
-// demand: the sharded driver lost to the serial batched engine on every
-// sweep we run.  The paper's algorithm needs no global round structure —
-// a balancing operation touches only its initiator and delta random
-// partners — so this driver removes the barrier instead of amortizing it:
+// The paper's algorithm needs no global round structure — a balancing
+// operation touches only its initiator and delta random partners — so
+// this engine synchronizes its shards without a per-step barrier:
 //
 //   - Shards own processors round-robin (owner = p mod shards, strided
 //     ActiveSchedule), so a contiguous hotspot spreads across shards.
@@ -93,8 +90,8 @@ class AsyncEngine {
         locks_(sys.processors()) {
     shard_.reserve(shards);
     for (std::uint32_t s = 0; s < shards; ++s) {
-      // split() draws from the system generator, so the stream layout is
-      // fixed by (seed, shards) alone — same scheme as run_parallel.
+      // split() draws from the system generator in shard order, so the
+      // stream layout is fixed by (seed, shards) alone.
       shard_.push_back(std::make_unique<Shard>(
           s, shards, sys_.rng_.split(),
           ActiveSchedule::strided(workload, s, shards), sys_.topology_));
@@ -420,10 +417,10 @@ class AsyncEngine {
   }
 
   // Debt settlement + borrow retry (the deferred form of the sequential
-  // consume()'s NeedsSettle branch, like run_parallel's Settle).  The
-  // sequential nesting (settle -> remote exchange -> balance -> ...) is
-  // decomposed into a sequence of bounded lock scopes with re-validation
-  // after every re-lock; follow-up triggers travel as messages.
+  // consume()'s NeedsSettle branch).  The sequential nesting (settle ->
+  // remote exchange -> balance -> ...) is decomposed into a sequence of
+  // bounded lock scopes with re-validation after every re-lock;
+  // follow-up triggers travel as messages.
   void exec_settle(Shard& sh, std::uint32_t p) {
     bool emitted = false;
     for (int attempt = 0; attempt < kMaxSettleRetries; ++attempt) {
@@ -839,7 +836,7 @@ void System::run_async(const Workload& workload, std::uint32_t shards,
   DLB_REQUIRE(options.epoch_steps >= 1,
               "an epoch must cover at least one step");
   // No serial per-step point exists to observe loads from; recorder
-  // output is a sequential-driver (or run_parallel) feature.
+  // output is a sequential-driver feature.
   DLB_REQUIRE(recorder_ == nullptr, "run_async does not support a recorder");
   loads_cache_valid_ = false;
   AsyncEngine engine(*this, workload, shards, options);

@@ -15,11 +15,11 @@
 //
 // Counters are *thread-local*: each engine thread samples only its own
 // allocations, exactly and without atomic contention, so concurrent
-// engines (run_parallel shards, run_async shards, ThreadedSystem
-// workers) can each account their own phases and merge tallies at join
-// points.  The shim counts every operator-new call made by this binary
-// (including std::vector growth); operator delete is not tracked — the
-// invariant under test is "no allocations", not leak accounting.
+// engines (run_async shards, ThreadedSystem workers) can each account
+// their own phases and merge tallies at join points.  The shim counts
+// every operator-new call made by this binary (including std::vector
+// growth); operator delete is not tracked — the invariant under test is
+// "no allocations", not leak accounting.
 //
 // The shim is linked into every binary that references this header's
 // symbols (the dlb_obs object file is pulled in by the engines'

@@ -2,7 +2,7 @@
 //
 // The Recorder interface (metrics/recorder.hpp) serves the paper's
 // figures; this registry serves *operations*: how many balance ops ran,
-// how long each shard of run_parallel waited at the barrier, how many
+// how long each run_async epoch waited for quiescence, how many
 // messages a link dropped.  Instruments are created once by name and
 // then updated lock-free (relaxed atomics), so a hot path pays one
 // pointer-null check when observability is detached and one relaxed

@@ -14,9 +14,9 @@
 //
 // Export is the Chrome trace-event JSON array format: load the file in
 // Perfetto (ui.perfetto.dev) or chrome://tracing and a sharded
-// run_parallel renders as one named track per shard plus the serial
-// coordinator track.  Timestamps are microseconds from the buffer's
-// epoch (construction or the last clear()).
+// run_async renders as one named track per shard.  Timestamps are
+// microseconds from the buffer's epoch (construction or the last
+// clear()).
 #pragma once
 
 #include <atomic>

@@ -7,14 +7,8 @@
 namespace dlb {
 
 ActiveSchedule::ActiveSchedule(const Workload& workload)
-    : ActiveSchedule(workload, 0, workload.processors()) {}
-
-ActiveSchedule::ActiveSchedule(const Workload& workload, std::uint32_t begin,
-                               std::uint32_t end)
     : horizon_(workload.horizon()) {
-  DLB_REQUIRE(begin <= end && end <= workload.processors(),
-              "schedule processor range out of bounds");
-  compile(workload, begin, end, 1);
+  compile(workload, 0, workload.processors(), 1);
 }
 
 ActiveSchedule ActiveSchedule::strided(const Workload& workload,

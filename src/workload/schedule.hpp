@@ -16,9 +16,9 @@
 // without drawing, so a fully silent phase contributes neither RNG draws
 // nor events.
 //
-// The schedule can be restricted to a processor range [begin, end) —
-// the sharded driver compiles one schedule per shard, each holding only
-// its own processors.
+// strided() restricts the schedule to one residue class of processors —
+// the asynchronous engine compiles one schedule per shard, each holding
+// only its own processors.
 #pragma once
 
 #include <cstdint>
@@ -37,12 +37,10 @@ class ActiveSchedule {
     const Phase* phase;
   };
 
-  /// Compiles the schedule for processors [begin, end) of `workload`
-  /// (defaults to all of them).  The workload must outlive the schedule
-  /// (entries point into its phase storage).
+  /// Compiles the schedule for every processor of `workload`.  The
+  /// workload must outlive the schedule (entries point into its phase
+  /// storage).
   explicit ActiveSchedule(const Workload& workload);
-  ActiveSchedule(const Workload& workload, std::uint32_t begin,
-                 std::uint32_t end);
 
   /// Compiles the schedule for the strided processor set
   /// {p : p ≡ offset (mod stride)}.  The asynchronous engine owns

@@ -10,8 +10,8 @@
 // that multiply a small processor subset's arrival rate for a bounded
 // window.  The output is an ordinary Workload (per-processor phases
 // with generate/consume probabilities per segment), so every engine —
-// serial batched, lockstep-sharded, async, threaded — can drive it
-// unchanged, and Trace::record can pin one demand realization for the
+// serial batched, async (deterministic or relaxed), threaded — can drive
+// it unchanged, and Trace::record can pin one demand realization for the
 // baseline comparisons.
 //
 // Zipf sampling uses rejection inversion (Hormann & Derflinger 1996,

@@ -1,4 +1,5 @@
-// Steady-state allocation proof for all four drivers.
+// Steady-state allocation proof for every engine: serial, async (both
+// modes) and the threaded runtime.
 //
 // Each engine samples the global counting operator-new hook around every
 // step (obs/alloc.hpp) and publishes `<prefix>.alloc.warmup_end_step`:
@@ -55,17 +56,6 @@ TEST(ZeroAllocSteadyState, SerialRun) {
   sys.attach_metrics(&registry);
   sys.run(Workload::uniform(kN, kHorizon, 0.7, 0.5));
   EXPECT_LT(gauge(registry, "system.alloc.warmup_end_step"),
-            static_cast<std::int64_t>(kHorizon / 2));
-}
-
-TEST(ZeroAllocSteadyState, LockstepParallelRun) {
-  constexpr std::uint32_t kN = 64;
-  constexpr std::uint32_t kHorizon = 300;
-  System sys(kN, steady_config(kN), 23);
-  obs::MetricsRegistry registry;
-  sys.attach_metrics(&registry);
-  sys.run_parallel(Workload::uniform(kN, kHorizon, 0.7, 0.5), 4);
-  EXPECT_LT(gauge(registry, "run_parallel.alloc.warmup_end_step"),
             static_cast<std::int64_t>(kHorizon / 2));
 }
 

@@ -156,7 +156,7 @@ INSTANTIATE_TEST_SUITE_P(DeltaSweep, ForcedBalanceProperty,
 // step must equal a from-scratch loads() rebuild.  The sweep leans on
 // the paths that mutate *other* processors' loads behind p's back —
 // settlements, remote exchanges, empty-generator resolutions under a
-// tiny borrow_cap — and covers all three step drivers.
+// tiny borrow_cap — and covers both recorder-capable step drivers.
 class LastLoadsRecorder final : public Recorder {
  public:
   void on_loads(std::uint32_t t,
@@ -203,10 +203,8 @@ TEST_P(LoadsCacheProperty, DeltaMaintainedSnapshotMatchesFullRebuild) {
   sys.attach_recorder(&recorder);
   if (prm.driver == "run") {
     sys.run(wl);
-  } else if (prm.driver == "run_reference") {
-    sys.run_reference(wl);
   } else {
-    sys.run_parallel(wl, 2);
+    sys.run_reference(wl);
   }
   ASSERT_EQ(recorder.calls(), horizon);
   // loads() rebuilds from the ledgers; the recorder saw the incremental
@@ -218,7 +216,7 @@ TEST_P(LoadsCacheProperty, DeltaMaintainedSnapshotMatchesFullRebuild) {
 std::vector<LoadsCacheCase> loads_cache_cases() {
   std::vector<LoadsCacheCase> cases;
   std::uint64_t seed = 101;
-  for (const char* driver : {"run", "run_reference", "run_parallel"}) {
+  for (const char* driver : {"run", "run_reference"}) {
     // Consume-heavy uniform demand with borrow_cap 1 maximizes the
     // settlement / remote-exchange traffic that touches remote loads.
     cases.push_back({8, 1.1, 2, 1, false, "uniform", driver, seed++});

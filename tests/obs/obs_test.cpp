@@ -1,8 +1,8 @@
 // Unit tests for the observability layer (src/obs) plus its wiring into
 // the step engines: metrics instruments against brute-force oracles,
 // trace buffer semantics, scoped timers, and the per-subsystem
-// instrumentation (System, run_parallel, ThreadedSystem, mp::World,
-// the MetricsRecorder bridge).
+// instrumentation (System, ThreadedSystem, mp::World, the
+// MetricsRecorder bridge).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -442,75 +442,6 @@ TEST(SystemObs, TraceCarriesStepAndBalanceSpans) {
   for (const obs::TraceEvent& e : trace.events()) names.insert(e.name);
   EXPECT_TRUE(names.count("step"));
   EXPECT_TRUE(names.count("balance_op"));
-}
-
-// ---- run_parallel phase profiling -------------------------------------
-
-TEST(RunParallelObs, PerShardPhaseHistogramsAndPercentiles) {
-  BalancerConfig cfg;
-  cfg.f = 1.5;
-  cfg.delta = 2;
-  System sys(64, cfg, 17);
-  obs::MetricsRegistry reg;
-  sys.attach_metrics(&reg);
-  const std::uint32_t horizon = 80;
-  sys.run_parallel(Workload::uniform(64, horizon, 0.7, 0.5), 2);
-  const obs::MetricsSnapshot snap = reg.snapshot();
-  for (const std::string shard : {"shard0", "shard1"}) {
-    const obs::MetricValue* work =
-        snap.find("run_parallel." + shard + ".work_ns");
-    const obs::MetricValue* barrier =
-        snap.find("run_parallel." + shard + ".barrier_wait_ns");
-    ASSERT_NE(work, nullptr) << shard;
-    ASSERT_NE(barrier, nullptr) << shard;
-    EXPECT_EQ(work->count, horizon) << shard;
-    EXPECT_EQ(barrier->count, horizon) << shard;
-    // The acceptance surface: barrier-wait p50/p99 per shard.
-    EXPECT_GT(barrier->p99, 0.0) << shard;
-    EXPECT_GE(barrier->p99, barrier->p50) << shard;
-  }
-  const obs::MetricValue* drain = snap.find("run_parallel.serial_drain_ns");
-  ASSERT_NE(drain, nullptr);
-  EXPECT_EQ(drain->count, horizon);
-}
-
-TEST(RunParallelObs, TraceShowsDistinctShardAndSerialSpans) {
-  BalancerConfig cfg;
-  cfg.f = 1.5;
-  cfg.delta = 2;
-  System sys(64, cfg, 23);
-  obs::TraceBuffer trace(1 << 14);
-  sys.attach_trace(&trace);
-  sys.run_parallel(Workload::uniform(64, 60, 0.7, 0.5), 2);
-  std::set<std::uint32_t> local_tids;
-  std::set<std::uint32_t> barrier_tids;
-  std::set<std::uint32_t> drain_tids;
-  for (const obs::TraceEvent& e : trace.events()) {
-    const std::string name = e.name;
-    if (name == "local_phase") local_tids.insert(e.tid);
-    if (name == "barrier_wait") barrier_tids.insert(e.tid);
-    if (name == "serial_drain") drain_tids.insert(e.tid);
-  }
-  // Shard s records on track s + 1; the serial coordinator on track 0.
-  EXPECT_EQ(local_tids, (std::set<std::uint32_t>{1, 2}));
-  EXPECT_EQ(barrier_tids, (std::set<std::uint32_t>{1, 2}));
-  EXPECT_EQ(drain_tids, (std::set<std::uint32_t>{0}));
-}
-
-TEST(RunParallelObs, ParallelRunStaysDeterministicUnderInstrumentation) {
-  BalancerConfig cfg;
-  cfg.f = 1.4;
-  cfg.delta = 1;
-  const Workload wl = Workload::uniform(32, 100, 0.6, 0.4);
-  System plain(32, cfg, 29);
-  plain.run_parallel(wl, 2);
-  System instrumented(32, cfg, 29);
-  obs::MetricsRegistry reg;
-  obs::TraceBuffer trace(1 << 14);
-  instrumented.attach_metrics(&reg);
-  instrumented.attach_trace(&trace);
-  instrumented.run_parallel(wl, 2);
-  EXPECT_EQ(plain.loads(), instrumented.loads());
 }
 
 // ---- ThreadedSystem wiring --------------------------------------------

@@ -66,13 +66,6 @@ TEST(ActiveSchedule, SilentPhasesAreElided) {
   EXPECT_EQ(active_ids(sched.advance(1)), (std::vector<std::uint32_t>{1}));
 }
 
-TEST(ActiveSchedule, ProcessorRangeRestriction) {
-  const Workload wl = Workload::uniform(8, 5, 0.5, 0.5);
-  ActiveSchedule sched(wl, 2, 5);
-  EXPECT_EQ(active_ids(sched.advance(0)),
-            (std::vector<std::uint32_t>{2, 3, 4}));
-}
-
 TEST(ActiveSchedule, ResetRewindsToStepZero) {
   const Workload wl = make(2, 3, {{Phase{1, 2, 0.5, 0.5}}, {}});
   ActiveSchedule sched(wl);
