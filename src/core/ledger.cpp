@@ -8,23 +8,12 @@ namespace dlb {
 
 namespace {
 
-void insert_sorted(std::vector<std::uint32_t>& v, std::uint32_t j) {
-  v.insert(std::lower_bound(v.begin(), v.end(), j), j);
-}
-
-void erase_sorted(std::vector<std::uint32_t>& v, std::uint32_t j) {
-  const auto it = std::lower_bound(v.begin(), v.end(), j);
-  DLB_ENSURE(it != v.end() && *it == j, "sparse index out of sync");
-  v.erase(it);
-}
-
 // The per-thread apply_dealt merge buffers, hoisted to an accessor so
 // warm_thread_scratch can pre-size them before a thread's first deal.
 struct MergeScratch {
   std::vector<std::uint32_t> active;
   std::vector<std::int64_t> d;
   std::vector<std::int64_t> b;
-  std::vector<std::uint32_t> marked;
 };
 
 MergeScratch& merge_scratch() {
@@ -160,18 +149,62 @@ void Ledger::remove_real(std::uint32_t j, std::int64_t count) {
   real_ -= count;
 }
 
+std::size_t Ledger::nth_marked_slot(std::size_t k) const {
+  std::size_t pos = 0;
+  for (; pos < b_counts_.size(); ++pos)
+    if (b_counts_[pos] != 0 && k-- == 0) break;
+  DLB_REQUIRE(pos < b_counts_.size(), "marked-class index out of range");
+  return pos;
+}
+
+std::size_t Ledger::nth_borrowable_slot(std::size_t k) const {
+  std::size_t pos = 0;
+  for (; pos < d_counts_.size(); ++pos)
+    if (d_counts_[pos] > 0 && b_counts_[pos] == 0 && k-- == 0) break;
+  DLB_REQUIRE(pos < d_counts_.size(), "borrowable-class index out of range");
+  return pos;
+}
+
+std::uint32_t Ledger::nth_marked(std::size_t k) const {
+  return active_[nth_marked_slot(k)];
+}
+
+std::size_t Ledger::borrowable() const {
+  std::size_t count = 0;
+  for (std::size_t pos = 0; pos < d_counts_.size(); ++pos)
+    if (d_counts_[pos] > 0 && b_counts_[pos] == 0) ++count;
+  return count;
+}
+
+void Ledger::borrow_at(std::size_t pos) {
+  // d + b goes 1 packet -> 1 marker: the entry stays active throughout.
+  d_counts_[pos] -= 1;
+  b_counts_[pos] += 1;
+  real_ -= 1;
+  borrowed_ += 1;
+}
+
+void Ledger::repay_at(std::size_t pos) {
+  // Marker -> real packet: the entry stays active throughout.
+  b_counts_[pos] -= 1;
+  borrowed_ -= 1;
+  d_counts_[pos] += 1;
+  real_ += 1;
+}
+
 void Ledger::borrow(std::uint32_t j) {
   DLB_REQUIRE(j < classes_, "load class out of range");
   const std::size_t pos = slot(j);
   DLB_REQUIRE(pos < active_.size() && d_counts_[pos] > 0,
               "borrow needs a real packet of the class");
   DLB_REQUIRE(b_counts_[pos] == 0, "at most one marker per class (paper, §4)");
-  // d + b goes 1 packet -> 1 marker: the entry stays active throughout.
-  d_counts_[pos] -= 1;
-  b_counts_[pos] += 1;
-  real_ -= 1;
-  borrowed_ += 1;
-  insert_sorted(marked_, j);
+  borrow_at(pos);
+}
+
+std::uint32_t Ledger::borrow_nth(std::size_t k) {
+  const std::size_t pos = nth_borrowable_slot(k);
+  borrow_at(pos);
+  return active_[pos];
 }
 
 void Ledger::clear_marker(std::uint32_t j) {
@@ -181,7 +214,6 @@ void Ledger::clear_marker(std::uint32_t j) {
               "no marker of this class to clear");
   b_counts_[pos] -= 1;
   borrowed_ -= 1;
-  if (b_counts_[pos] == 0) erase_sorted(marked_, j);
   drop_if_zero(pos);
 }
 
@@ -190,12 +222,13 @@ void Ledger::repay_with_generation(std::uint32_t j) {
   const std::size_t pos = slot(j);
   DLB_REQUIRE(pos < active_.size() && b_counts_[pos] > 0,
               "no outstanding debt of this class");
-  // Marker -> real packet: the entry stays active throughout.
-  b_counts_[pos] -= 1;
-  borrowed_ -= 1;
-  if (b_counts_[pos] == 0) erase_sorted(marked_, j);
-  d_counts_[pos] += 1;
-  real_ += 1;
+  repay_at(pos);
+}
+
+std::uint32_t Ledger::repay_nth_marked(std::size_t k) {
+  const std::size_t pos = nth_marked_slot(k);
+  repay_at(pos);
+  return active_[pos];
 }
 
 void Ledger::set_d(std::uint32_t j, std::int64_t value) {
@@ -221,16 +254,10 @@ void Ledger::set_b(std::uint32_t j, std::int64_t value) {
     if (b_counts_[pos] == value) return;
     borrowed_ += value - b_counts_[pos];
     b_counts_[pos] = value;
-    if (value > 0) {
-      insert_sorted(marked_, j);
-    } else {
-      erase_sorted(marked_, j);
-      drop_if_zero(pos);
-    }
+    drop_if_zero(pos);
   } else if (value > 0) {
     insert_entry(pos, j, 0, 1);
     borrowed_ += 1;
-    insert_sorted(marked_, j);
   }
 }
 
@@ -247,11 +274,9 @@ void Ledger::apply_dealt(const std::uint32_t* cls, std::size_t k,
   std::vector<std::uint32_t>& active_merge_ = merge.active;
   std::vector<std::int64_t>& d_merge_ = merge.d;
   std::vector<std::int64_t>& b_merge_ = merge.b;
-  std::vector<std::uint32_t>& marked_merge_ = merge.marked;
   active_merge_.clear();
   d_merge_.clear();
   b_merge_.clear();
-  marked_merge_.clear();
   const std::size_t max_entries = active_.size() + k;
   if (active_merge_.capacity() < max_entries) {
     const std::size_t cap =
@@ -259,10 +284,8 @@ void Ledger::apply_dealt(const std::uint32_t* cls, std::size_t k,
     active_merge_.reserve(cap);
     d_merge_.reserve(cap);
     b_merge_.reserve(cap);
-    marked_merge_.reserve(cap);
   }
   std::size_t ai = 0;
-  std::size_t mi = 0;
   std::uint32_t prev = 0;
   for (std::size_t c = 0; c < k; ++c) {
     const std::uint32_t j = cls[c];
@@ -273,7 +296,7 @@ void Ledger::apply_dealt(const std::uint32_t* cls, std::size_t k,
     DLB_REQUIRE(b_vals[c] == 0 || b_vals[c] == 1,
                 "marker counts are 0 or 1 (paper, §4)");
     // Carry over entries for classes below j, then drop j's own (re-added
-    // below if it remains active/marked).
+    // below if it remains active).
     while (ai < active_.size() && active_[ai] < j) {
       active_merge_.push_back(active_[ai]);
       d_merge_.push_back(d_counts_[ai]);
@@ -287,9 +310,6 @@ void Ledger::apply_dealt(const std::uint32_t* cls, std::size_t k,
       old_b = b_counts_[ai];
       ++ai;
     }
-    while (mi < marked_.size() && marked_[mi] < j)
-      marked_merge_.push_back(marked_[mi++]);
-    if (mi < marked_.size() && marked_[mi] == j) ++mi;
     real_ += d_vals[c] - old_d;
     borrowed_ += b_vals[c] - old_b;
     if (d_vals[c] > 0 || b_vals[c] > 0) {
@@ -297,7 +317,6 @@ void Ledger::apply_dealt(const std::uint32_t* cls, std::size_t k,
       d_merge_.push_back(d_vals[c]);
       b_merge_.push_back(b_vals[c]);
     }
-    if (b_vals[c] > 0) marked_merge_.push_back(j);
   }
   while (ai < active_.size()) {
     active_merge_.push_back(active_[ai]);
@@ -305,11 +324,9 @@ void Ledger::apply_dealt(const std::uint32_t* cls, std::size_t k,
     b_merge_.push_back(b_counts_[ai]);
     ++ai;
   }
-  while (mi < marked_.size()) marked_merge_.push_back(marked_[mi++]);
   active_.swap(active_merge_);
   d_counts_.swap(d_merge_);
   b_counts_.swap(b_merge_);
-  marked_.swap(marked_merge_);
 }
 
 ClassCounts Ledger::rebuild_dealt(const std::uint32_t* cls, std::size_t k,
@@ -357,9 +374,6 @@ ClassCounts Ledger::rebuild_dealt(const std::uint32_t* cls, std::size_t k,
       DLB_REQUIRE(b == 0 || b == 1, "marker counts are 0 or 1 (paper, §4)");
     }
   }
-  marked_.clear();
-  for (std::size_t i = 0; i < pass.entries && pass.borrowed > 0; ++i)
-    if (b_counts_[i] != 0) marked_.push_back(active_[i]);
   ClassCounts mine;
   if (pass.own_at != nullptr) {
     const auto c = static_cast<std::size_t>(pass.own_at - cls);
@@ -377,21 +391,20 @@ void Ledger::replace(std::vector<std::int64_t> d_new,
   std::int64_t borrowed = 0;
   for (std::size_t j = 0; j < d_new.size(); ++j) {
     DLB_REQUIRE(d_new[j] >= 0, "negative real count in replacement");
-    DLB_REQUIRE(b_new[j] >= 0, "negative marker count in replacement");
+    DLB_REQUIRE(b_new[j] == 0 || b_new[j] == 1,
+                "marker counts are 0 or 1 (paper, §4)");
     real += d_new[j];
     borrowed += b_new[j];
   }
   active_.clear();
   d_counts_.clear();
   b_counts_.clear();
-  marked_.clear();
   for (std::uint32_t j = 0; j < classes_; ++j) {
     if (d_new[j] > 0 || b_new[j] > 0) {
       active_.push_back(j);
       d_counts_.push_back(d_new[j]);
       b_counts_.push_back(b_new[j]);
     }
-    if (b_new[j] > 0) marked_.push_back(j);
   }
   real_ = real;
   borrowed_ = borrowed;
@@ -402,7 +415,6 @@ void Ledger::reserve_active(std::uint32_t k) {
   active_.reserve(cap);
   d_counts_.reserve(cap);
   b_counts_.reserve(cap);
-  marked_.reserve(cap);
 }
 
 void Ledger::warm_thread_scratch(std::size_t entries) {
@@ -411,11 +423,6 @@ void Ledger::warm_thread_scratch(std::size_t entries) {
   scratch.active.reserve(entries);
   scratch.d.reserve(entries);
   scratch.b.reserve(entries);
-  scratch.marked.reserve(entries);
-}
-
-std::uint32_t Ledger::first_marked_class() const {
-  return marked_.empty() ? classes_ : marked_.front();
 }
 
 void Ledger::check(std::uint32_t borrow_cap) const {
@@ -424,26 +431,18 @@ void Ledger::check(std::uint32_t borrow_cap) const {
              "parallel count vectors out of shape (S2)");
   std::int64_t real = 0;
   std::int64_t borrowed = 0;
-  std::size_t marked_count = 0;
   for (std::size_t i = 0; i < active_.size(); ++i) {
     DLB_ENSURE(active_[i] < classes_, "active class out of range (S1)");
     DLB_ENSURE(i == 0 || active_[i] > active_[i - 1],
                "active classes not strictly ascending (S1/L3)");
     DLB_ENSURE(d_counts_[i] >= 0, "negative real count");
     DLB_ENSURE(b_counts_[i] >= 0, "negative marker count");
+    DLB_ENSURE(b_counts_[i] <= 1, "more than one marker per class (L2)");
     DLB_ENSURE(d_counts_[i] > 0 || b_counts_[i] > 0,
                "zero entry stored in the compact ledger (S1)");
     real += d_counts_[i];
     borrowed += b_counts_[i];
-    if (b_counts_[i] > 0) {
-      DLB_ENSURE(marked_count < marked_.size() &&
-                     marked_[marked_count] == active_[i],
-                 "marked-class index out of sync (L4)");
-      ++marked_count;
-    }
   }
-  DLB_ENSURE(marked_count == marked_.size(),
-             "stale entries in the marked-class index (L4)");
   DLB_ENSURE(real == real_, "cached real load out of sync (L1)");
   DLB_ENSURE(borrowed == borrowed_, "cached borrow total out of sync");
   DLB_ENSURE(borrowed_ <= static_cast<std::int64_t>(borrow_cap),
@@ -464,11 +463,17 @@ std::vector<std::int64_t> Ledger::dense_b() const {
   return out;
 }
 
+std::vector<std::uint32_t> Ledger::marked_classes() const {
+  std::vector<std::uint32_t> out;
+  for (std::size_t i = 0; i < active_.size(); ++i)
+    if (b_counts_[i] != 0) out.push_back(active_[i]);
+  return out;
+}
+
 std::size_t Ledger::memory_bytes() const {
   return active_.capacity() * sizeof(std::uint32_t) +
          d_counts_.capacity() * sizeof(std::int64_t) +
-         b_counts_.capacity() * sizeof(std::int64_t) +
-         marked_.capacity() * sizeof(std::uint32_t);
+         b_counts_.capacity() * sizeof(std::int64_t);
 }
 
 }  // namespace dlb

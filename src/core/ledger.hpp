@@ -14,12 +14,11 @@
 // Storage is *sparse*: the ledger holds no O(n) arrays.  The source of
 // truth is three parallel vectors keyed by the sorted active-class list —
 // active_[i] is a class with a nonzero ledger entry, d_counts_[i] and
-// b_counts_[i] are its counts — plus the marked-class list.  A ledger
-// therefore costs O(A) memory in the number A of active classes, not
-// O(n); with every processor holding a handful of classes the whole
-// n-processor simulator is O(n·A) bytes instead of the former O(n²)
-// (which at n = 65536 would be ~64 GB of dense arrays).  Structural
-// invariants of the compact form:
+// b_counts_[i] are its counts.  A ledger therefore costs O(A) memory in
+// the number A of active classes, not O(n); with every processor holding
+// a handful of classes the whole n-processor simulator is O(n·A) bytes
+// instead of the former O(n²) (which at n = 65536 would be ~64 GB of
+// dense arrays).  Structural invariants of the compact form:
 //   (S1) active_ is strictly ascending and every listed class satisfies
 //        d > 0 || b > 0 — no zero entries are stored;
 //   (S2) d_counts_/b_counts_ have exactly one slot per active_ entry and
@@ -27,12 +26,15 @@
 // The derived views keep their PR-1 contracts:
 //   (L3) active_classes() is exactly {j : d[j] > 0 || b[j] > 0}, sorted
 //        ascending, and
-//   (L4) marked_classes() is exactly {j : b[j] > 0}, sorted ascending
-//        (at most C entries by L2).
-// Ascending order matters: callers draw uniformly from these lists, and
-// the original dense implementation enumerated candidates by scanning
-// j = 0..n-1 — keeping the same order keeps the RNG-to-class mapping (and
-// therefore the whole simulation) bit-identical.
+//   (L4) the marked classes {j : b[j] > 0} number exactly
+//        borrowed_total(), at most C — derived from L2's b[j] in {0,1}
+//        (which check() asserts per class), not stored.
+// Ascending order matters: callers draw a uniform index k and take the
+// k-th candidate (nth_marked, borrow_nth, repay_nth_marked), and the
+// original dense implementation enumerated candidates by scanning
+// j = 0..n-1 — walking the compact arrays in the same order keeps the
+// RNG-to-class mapping (and therefore the whole simulation)
+// bit-identical.
 #pragma once
 
 #include <cstddef>
@@ -79,9 +81,17 @@ class Ledger {
   const std::vector<std::int64_t>& active_d() const { return d_counts_; }
   const std::vector<std::int64_t>& active_b() const { return b_counts_; }
 
-  /// Classes with b[j] > 0, ascending (L4); at most C entries.  The
-  /// reference is invalidated by any mutating call.
-  const std::vector<std::uint32_t>& marked_classes() const { return marked_; }
+  /// Positional access: k counts classes in ascending order, naming the
+  /// class a dense j = 0..n-1 scan would.  One O(A) pass; an out-of-range
+  /// k throws contract_error and mutates nothing.
+  /// The k-th class with b[j] > 0 (k < borrowed_total(), by L4).
+  std::uint32_t nth_marked(std::size_t k) const;
+  /// How many classes borrow() accepts (d[j] > 0 and b[j] == 0).
+  std::size_t borrowable() const;
+  /// borrow() / repay_with_generation() of the k-th such class; returns
+  /// the class.
+  std::uint32_t borrow_nth(std::size_t k);
+  std::uint32_t repay_nth_marked(std::size_t k);
 
   /// Adds `count` real packets of class j.
   void add_real(std::uint32_t j, std::int64_t count);
@@ -102,8 +112,8 @@ class Ledger {
   void repay_with_generation(std::uint32_t j);
 
   /// Sets d[j] to an absolute value (balancing write-back, checkpoint
-  /// compat).  O(A) worst case (entry insert/erase); totals and the
-  /// marked list are maintained incrementally.
+  /// compat).  O(A) worst case (entry insert/erase); totals are
+  /// maintained incrementally.
   void set_d(std::uint32_t j, std::int64_t value);
 
   /// Sets b[j] to an absolute value in {0, 1}.
@@ -140,9 +150,9 @@ class Ledger {
                             const std::int64_t* b_vals, std::size_t stride,
                             std::uint32_t own);
 
-  /// Wholesale replacement from dense vectors (tests, v1 checkpoints).
-  /// Vectors must have size classes(); entries must be non-negative.
-  /// O(n) input scan; only the nonzero entries are stored.
+  /// Wholesale replacement from dense vectors (tests).  Vectors must
+  /// have size classes(); d entries must be non-negative, b entries in
+  /// {0, 1}.  O(n) input scan; only the nonzero entries are stored.
   void replace(std::vector<std::int64_t> d_new,
                std::vector<std::int64_t> b_new);
 
@@ -159,19 +169,19 @@ class Ledger {
   /// DESIGN.md §11).  Never shrinks.
   static void warm_thread_scratch(std::size_t entries);
 
-  /// Smallest class index with b[j] > 0, or classes() if none.  O(1).
-  std::uint32_t first_marked_class() const;
-
-  /// Verifies L1-L4 and the compact-storage invariants S1/S2; throws
-  /// contract_error on failure.  O(A) — independent of classes().
+  /// Verifies L1-L4 (b[j] <= 1 per class) and the compact-storage
+  /// invariants S1/S2; throws contract_error on failure.  O(A) —
+  /// independent of classes().
   void check(std::uint32_t borrow_cap) const;
 
   /// Dense materializations for tests and tools; O(n) each, allocates.
   std::vector<std::int64_t> dense_d() const;
   std::vector<std::int64_t> dense_b() const;
+  /// Classes with b[j] > 0, ascending (L4); O(A), allocates.
+  std::vector<std::uint32_t> marked_classes() const;
 
   /// Heap bytes held by this ledger's sparse storage (capacities of the
-  /// entry, marked and merge vectors) — the bytes-per-processor metric
+  /// three parallel entry vectors) — the bytes-per-processor metric
   /// BENCH_core.json records.
   std::size_t memory_bytes() const;
 
@@ -184,6 +194,12 @@ class Ledger {
   // non-const overload additionally memoizes the hit in hint_.
   std::size_t slot(std::uint32_t j) const;
   std::size_t slot(std::uint32_t j);
+  // Slot of the k-th marked / borrowable entry; contract_error if none.
+  std::size_t nth_marked_slot(std::size_t k) const;
+  std::size_t nth_borrowable_slot(std::size_t k) const;
+  // The writes of borrow / repay_with_generation on a validated slot.
+  void borrow_at(std::size_t pos);
+  void repay_at(std::size_t pos);
   void insert_entry(std::size_t pos, std::uint32_t j, std::int64_t d_val,
                     std::int64_t b_val);
   void erase_entry(std::size_t pos);
@@ -197,7 +213,6 @@ class Ledger {
   std::vector<std::uint32_t> active_;
   std::vector<std::int64_t> d_counts_;
   std::vector<std::int64_t> b_counts_;
-  std::vector<std::uint32_t> marked_;
   // apply_dealt merges through shared thread-local scratch buffers (see
   // ledger.cpp): per-ledger buffers would re-pay the vector growth
   // cascade on every balancing write-back, a malloc storm on the hot

@@ -407,10 +407,7 @@ class AsyncEngine {
       --to_clear;
     }
     while (to_clear > 0) {
-      const std::uint32_t k = debtor.first_marked_class();
-      DLB_ENSURE(k < sys_.processors(),
-                 "failed to clear the exchanged markers");
-      debtor.clear_marker(k);
+      debtor.clear_marker(debtor.nth_marked(0));
       --to_clear;
     }
     sys_.emit_borrow_event(BorrowEvent::DecreaseSim);
@@ -435,8 +432,8 @@ class AsyncEngine {
           if (sys_.trace_ != nullptr)
             sys_.trace_->instant("settle", "borrow", sh.tid, p);
         }
-        const auto& marked = ledger.marked_classes();
-        j = marked[static_cast<std::size_t>(sh.rng.below(marked.size()))];
+        j = ledger.nth_marked(static_cast<std::size_t>(sh.rng.below(
+            static_cast<std::uint64_t>(ledger.borrowed_total()))));
         if (j == p) {
           // [D6]: a marker of p's own class settles locally.
           ledger.clear_marker(j);

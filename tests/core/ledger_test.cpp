@@ -96,6 +96,7 @@ TEST(Ledger, ReplaceValidatesShapeAndSign) {
   EXPECT_THROW(ledger.replace({1}, {0, 0}), contract_error);
   EXPECT_THROW(ledger.replace({-1, 0}, {0, 0}), contract_error);
   EXPECT_THROW(ledger.replace({0, 0}, {0, -2}), contract_error);
+  EXPECT_THROW(ledger.replace({0, 0}, {0, 2}), contract_error);  // L2
 }
 
 TEST(Ledger, RebuildDealtRequiresSupersetOfActive) {
@@ -176,10 +177,30 @@ TEST(Ledger, RebuildDealtRejectsBadCells) {
 
 TEST(Ledger, FirstMarkedClass) {
   Ledger ledger(4);
-  EXPECT_EQ(ledger.first_marked_class(), 4u);
+  EXPECT_THROW(ledger.nth_marked(0), contract_error);
   ledger.add_real(2, 1);
   ledger.borrow(2);
-  EXPECT_EQ(ledger.first_marked_class(), 2u);
+  EXPECT_EQ(ledger.nth_marked(0), 2u);
+}
+
+TEST(Ledger, PositionalOpsRejectOutOfRangeIndex) {
+  Ledger ledger(6);
+  EXPECT_THROW(ledger.nth_marked(0), contract_error);
+  EXPECT_THROW(ledger.repay_nth_marked(0), contract_error);
+  EXPECT_THROW(ledger.borrow_nth(0), contract_error);
+  ledger.add_real(2, 1);
+  ledger.add_real(5, 1);
+  ledger.borrow(5);
+  // One marked class (5) and one borrowable class (2).
+  EXPECT_THROW(ledger.nth_marked(1), contract_error);
+  EXPECT_THROW(ledger.repay_nth_marked(1), contract_error);
+  EXPECT_THROW(ledger.borrow_nth(1), contract_error);
+  // The rejected calls changed nothing.
+  EXPECT_EQ(ledger.real_load(), 1);
+  EXPECT_EQ(ledger.borrowed_total(), 1);
+  EXPECT_EQ(ledger.borrowable(), 1u);
+  EXPECT_EQ(ledger.nth_marked(0), 5u);
+  ledger.check(1);
 }
 
 TEST(Ledger, CheckDetectsCapViolation) {
@@ -202,15 +223,17 @@ TEST(Ledger, OutOfRangeClassThrows) {
 // vectors updated alongside every mutation) and checks the full ledger
 // surface against it after every step:
 //   - d(j)/b(j) point lookups, real/borrowed/virtual totals (L1, L2);
-//   - active_classes()/marked_classes() order and content (L3, L4);
+//   - active_classes()/marked_classes() order and content (L3, L4),
+//     and the positional views nth_marked(k)/borrowable();
 //   - the parallel count vectors active_d()/active_b() and the dense
 //     materializations dense_d()/dense_b();
 //   - Ledger::check, which verifies the storage invariants S1/S2 (no
 //     zero entries, strictly ascending keys, parallel shapes).
-// Exercises every mutator: add/remove/borrow/clear (settle)/repay/
-// set_d/set_b/replace, the general merge write-back apply_dealt with
-// random ascending class subsets, and the balance-deal write-back
-// rebuild_dealt with random supersets of the active list.
+// Exercises every mutator: add/remove/borrow/clear (settle)/repay, the
+// positional borrow_nth/repay_nth_marked, set_d/set_b/replace, the
+// general merge write-back apply_dealt with random ascending class
+// subsets, and the balance-deal write-back rebuild_dealt with random
+// supersets of the active list.
 
 struct DenseReference {
   std::vector<std::int64_t> d;
@@ -234,6 +257,7 @@ void expect_matches_reference(const Ledger& ledger,
   std::int64_t borrowed = 0;
   std::vector<std::uint32_t> want_active;
   std::vector<std::uint32_t> want_marked;
+  std::size_t want_borrowable = 0;
   for (std::uint32_t j = 0; j < classes; ++j) {
     ASSERT_EQ(ledger.d(j), ref.d[j]) << "class " << j;
     ASSERT_EQ(ledger.b(j), ref.b[j]) << "class " << j;
@@ -241,12 +265,19 @@ void expect_matches_reference(const Ledger& ledger,
     borrowed += ref.b[j];
     if (ref.d[j] > 0 || ref.b[j] > 0) want_active.push_back(j);
     if (ref.b[j] > 0) want_marked.push_back(j);
+    if (ref.d[j] > 0 && ref.b[j] == 0) ++want_borrowable;
   }
   EXPECT_EQ(ledger.real_load(), real);
   EXPECT_EQ(ledger.borrowed_total(), borrowed);
   EXPECT_EQ(ledger.virtual_load(), real + borrowed);
   EXPECT_EQ(ledger.active_classes(), want_active);
   EXPECT_EQ(ledger.marked_classes(), want_marked);
+  // L4: one marked class per marker, indexed in ascending order.
+  ASSERT_EQ(want_marked.size(), static_cast<std::size_t>(borrowed));
+  for (std::size_t k = 0; k < want_marked.size(); ++k)
+    EXPECT_EQ(ledger.nth_marked(k), want_marked[k]) << "marked index " << k;
+  EXPECT_THROW(ledger.nth_marked(want_marked.size()), contract_error);
+  EXPECT_EQ(ledger.borrowable(), want_borrowable);
   const auto& active = ledger.active_classes();
   const auto& d_counts = ledger.active_d();
   const auto& b_counts = ledger.active_b();
@@ -268,7 +299,7 @@ TEST(LedgerProperty, SparseStorageTracksDenseReferenceUnderRandomOps) {
   DenseReference ref(kClasses);
   for (int op = 0; op < 4000; ++op) {
     const auto j = static_cast<std::uint32_t>(rng.below(kClasses));
-    switch (rng.below(10)) {
+    switch (rng.below(12)) {
       case 0: {
         const auto count = 1 + static_cast<std::int64_t>(rng.below(3));
         ledger.add_real(j, count);
@@ -402,6 +433,35 @@ TEST(LedgerProperty, SparseStorageTracksDenseReferenceUnderRandomOps) {
         EXPECT_EQ(own.b, ref.b[j]);
         break;
       }
+      case 10: {
+        // Positional borrow: the k-th class with d > 0 and b == 0,
+        // counted in ascending class order on the dense reference.
+        const std::size_t count = ledger.borrowable();
+        if (count == 0 || ledger.borrowed_total() >= kCap) break;
+        const auto index = static_cast<std::size_t>(rng.below(count));
+        std::size_t k = index;
+        std::uint32_t want = kClasses;
+        for (std::uint32_t c = 0; c < kClasses && want == kClasses; ++c)
+          if (ref.d[c] > 0 && ref.b[c] == 0 && k-- == 0) want = c;
+        ASSERT_EQ(ledger.borrow_nth(index), want);
+        ref.d[want] -= 1;
+        ref.b[want] += 1;
+        break;
+      }
+      case 11: {
+        // Positional repay: the k-th marked class in ascending order.
+        if (ledger.borrowed_total() == 0) break;
+        const auto index = static_cast<std::size_t>(
+            rng.below(static_cast<std::uint64_t>(ledger.borrowed_total())));
+        std::size_t k = index;
+        std::uint32_t want = kClasses;
+        for (std::uint32_t c = 0; c < kClasses && want == kClasses; ++c)
+          if (ref.b[c] > 0 && k-- == 0) want = c;
+        ASSERT_EQ(ledger.repay_nth_marked(index), want);
+        ref.b[want] -= 1;
+        ref.d[want] += 1;
+        break;
+      }
     }
     expect_matches_reference(ledger, ref, kCap);
   }
@@ -409,17 +469,18 @@ TEST(LedgerProperty, SparseStorageTracksDenseReferenceUnderRandomOps) {
 
 TEST(LedgerProperty, FirstMarkedClassMatchesMarkedListHead) {
   Ledger ledger(8);
-  EXPECT_EQ(ledger.first_marked_class(), 8u);
+  EXPECT_TRUE(ledger.marked_classes().empty());
   ledger.add_real(5, 2);
   ledger.add_real(2, 1);
   ledger.borrow(5);
-  EXPECT_EQ(ledger.first_marked_class(), 5u);
+  EXPECT_EQ(ledger.nth_marked(0), 5u);
   ledger.borrow(2);
-  EXPECT_EQ(ledger.first_marked_class(), 2u);
+  EXPECT_EQ(ledger.nth_marked(0), 2u);
+  EXPECT_EQ(ledger.nth_marked(0), ledger.marked_classes().front());
   ledger.clear_marker(2);
-  EXPECT_EQ(ledger.first_marked_class(), 5u);
+  EXPECT_EQ(ledger.nth_marked(0), 5u);
   ledger.clear_marker(5);
-  EXPECT_EQ(ledger.first_marked_class(), 8u);
+  EXPECT_THROW(ledger.nth_marked(0), contract_error);
 }
 
 }  // namespace
