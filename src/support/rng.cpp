@@ -4,12 +4,6 @@
 
 namespace dlb {
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   SplitMix64 sm(seed);
   for (auto& word : s_) word = sm.next();
@@ -18,33 +12,9 @@ Rng::Rng(std::uint64_t seed) {
   if (s_[0] == 0 && s_[1] == 0 && s_[2] == 0 && s_[3] == 0) s_[0] = 1;
 }
 
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::below(std::uint64_t bound) {
-  DLB_REQUIRE(bound > 0, "Rng::below requires a positive bound");
-  // Lemire's nearly-divisionless unbiased bounded generation.
-  std::uint64_t x = next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (lo < threshold) {
-      x = next();
-      m = static_cast<__uint128_t>(x) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
+void Rng::fail_zero_bound() {
+  detail::contract_fail("precondition", "bound > 0", __FILE__, __LINE__,
+                        "Rng::below requires a positive bound");
 }
 
 std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) {
@@ -56,19 +26,9 @@ std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) {
   return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + off);
 }
 
-double Rng::uniform01() {
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) {
   DLB_REQUIRE(lo <= hi, "Rng::uniform requires lo <= hi");
   return lo + (hi - lo) * uniform01();
-}
-
-bool Rng::bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform01() < p;
 }
 
 Rng Rng::split() { return Rng(next() ^ 0x9e3779b97f4a7c15ULL); }

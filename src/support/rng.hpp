@@ -49,23 +49,55 @@ class Rng {
 
   result_type operator()() { return next(); }
 
-  std::uint64_t next();
+  // The per-event draws (next, below, uniform01, bernoulli) are defined
+  // here so every caller inlines them; a step draws thousands.
+
+  std::uint64_t next() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Unbiased uniform integer in [0, bound) via Lemire's method.
   /// bound must be > 0.
-  std::uint64_t below(std::uint64_t bound);
+  std::uint64_t below(std::uint64_t bound) {
+    if (bound == 0) fail_zero_bound();
+    // Lemire's nearly-divisionless unbiased bounded generation.
+    std::uint64_t x = next();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (lo < threshold) {
+        x = next();
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in the inclusive range [lo, hi].
   std::int64_t range(std::int64_t lo, std::int64_t hi);
 
   /// Uniform double in [0, 1) with 53 bits of precision.
-  double uniform01();
+  double uniform01() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool bernoulli(double p);
+  bool bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform01() < p;
+  }
 
   /// Derives an independent child generator; the parent advances.
   Rng split();
@@ -99,6 +131,12 @@ class Rng {
   }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+  // below(0)'s contract failure, kept out of line.
+  [[noreturn]] static void fail_zero_bound();
+
   std::array<std::uint64_t, 4> s_{};
 };
 
