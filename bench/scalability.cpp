@@ -78,9 +78,8 @@ EngineRun time_engine(std::uint32_t n, const BalancerConfig& cfg,
 // bursty demand change the engines' per-step cost or the end-state
 // balance quality as n grows?  Rows are keyed "serving_step" and carry
 // step_us (serial), async_us (deterministic) and relaxed_us per engine,
-// each with its deal count and final CoV — timing columns, so the perf
-// gate machinery could pick them up, but the gate's fixed invocation
-// runs the sparse sweep only and never produces these rows.
+// each with its deal count and final CoV.  tools/perf_check.sh runs this
+// sweep up to n = 1024 and gates the serial step_us of those rows.
 int run_serving_sweep(const CliOptions& opts, Rng& master,
                       bench::JsonRows& json) {
   const auto steps =
