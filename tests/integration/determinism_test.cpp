@@ -330,5 +330,47 @@ TEST(Determinism, GoldenServing256Counters) {
   }
 }
 
+// The serving run through deterministic run_async (epoch 16) at 2 and 3
+// shards.  Serving's fences are dominated by settlements, forced [D5]
+// deals and cross-shard cancels — paths the paper-config async golden
+// rarely reaches — so the full state, the costs and every borrow counter
+// are pinned per shard count.
+TEST(Determinism, GoldenAsyncServing256) {
+  struct Golden {
+    std::uint32_t shards;
+    std::uint64_t balance_ops, packets_moved, moved_net, messages, state_hash;
+    std::uint64_t generated, consumed;
+    std::uint64_t borrow_total, borrow_remote, borrow_fail, decrease_sim;
+    std::uint64_t settlements;
+  };
+  const Golden goldens[] = {
+      {2, 1954, 4799, 2903, 7816, 9313608296193966274ull, 20705, 20568, 13679,
+       241, 746, 261, 979},
+      {3, 1983, 4583, 2810, 7932, 12766040606490441311ull, 20504, 20369,
+       13429, 230, 791, 250, 1015},
+  };
+  const Workload wl = serving_workload256();
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(testing::Message() << g.shards << " shards");
+    System sys(256, serving_config(), 1993);
+    obs::MetricsRegistry registry;
+    sys.attach_metrics(&registry);
+    AsyncOptions options;
+    options.epoch_steps = 16;
+    sys.run_async(wl, g.shards, options);
+    expect_golden(summarize(sys), g.balance_ops, g.packets_moved, g.moved_net,
+                  g.packets_moved, g.messages, g.state_hash);
+    EXPECT_EQ(sys.total_generated(), g.generated);
+    EXPECT_EQ(sys.total_consumed(), g.consumed);
+    EXPECT_EQ(registry.counter("system.borrow.total").value(), g.borrow_total);
+    EXPECT_EQ(registry.counter("system.borrow.remote").value(),
+              g.borrow_remote);
+    EXPECT_EQ(registry.counter("system.borrow.fail").value(), g.borrow_fail);
+    EXPECT_EQ(registry.counter("system.borrow.decrease_sim").value(),
+              g.decrease_sim);
+    EXPECT_EQ(registry.counter("system.settlements").value(), g.settlements);
+  }
+}
+
 }  // namespace
 }  // namespace dlb
