@@ -1,7 +1,6 @@
 #include "core/system.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "core/scratch.hpp"
 #include "core/snake.hpp"
@@ -100,7 +99,7 @@ void System::run(const Workload& workload) {
   // passes per step — sample everything, then apply — because the
   // reference loop draws all of a step's workload randomness before any
   // balancing randomness; interleaving would reorder the RNG stream.
-  std::vector<std::pair<std::uint32_t, WorkEvent>> events;
+  StepEvents events;
   // Zero-alloc opt-in: pre-size to the bound (one event per active
   // processor) so the occupancy high-water mark never grows the vector
   // mid-run.  Gated — the O(n) reserve touches fresh pages, a real cost
@@ -117,13 +116,7 @@ void System::run(const Workload& workload) {
     obs::ScopedTimer step_span(nullptr, trace_, "step", "step", 0, t);
     const std::vector<ActiveSchedule::Entry>& entries = schedule.advance(t);
     note_active(entries.size());
-    events.clear();
-    for (const ActiveSchedule::Entry& e : entries) {
-      WorkEvent ev;
-      ev.generate = rng_.bernoulli(e.phase->generate_prob);
-      ev.consume = rng_.bernoulli(e.phase->consume_prob);
-      if (ev.generate || ev.consume) events.emplace_back(e.proc, ev);
-    }
+    sample_events(entries, rng_, events);
     StepCounters counters;
     for (const auto& [p, ev] : events) {
       if (ev.generate) generate(p, rng_, counters);

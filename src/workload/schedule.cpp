@@ -99,4 +99,25 @@ const std::vector<ActiveSchedule::Entry>& ActiveSchedule::advance(
   return active_;
 }
 
+void sample_events(const std::vector<ActiveSchedule::Entry>& entries,
+                   Rng& rng, StepEvents& out) {
+  out.resize(entries.size());
+  // The generator runs on a local copy: the event writes below cannot
+  // alias it, so its state stays in registers instead of being stored
+  // back after every draw.  Every entry is written and the output index
+  // advances by the event flag, so no branch depends on a draw.
+  Rng local = rng;
+  std::pair<std::uint32_t, WorkEvent>* dst = out.data();
+  std::size_t k = 0;
+  for (const ActiveSchedule::Entry& e : entries) {
+    WorkEvent ev;
+    ev.generate = local.bernoulli(e.phase->generate_prob);
+    ev.consume = local.bernoulli(e.phase->consume_prob);
+    dst[k] = {e.proc, ev};
+    k += static_cast<std::size_t>(ev.generate | ev.consume);
+  }
+  out.resize(k);
+  rng = local;
+}
+
 }  // namespace dlb

@@ -19,11 +19,15 @@
 // strided() restricts the schedule to one residue class of processors —
 // the asynchronous engine compiles one schedule per shard, each holding
 // only its own processors.
+//
+// sample_events() is the step's event draw shared by every step engine.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "support/rng.hpp"
 #include "workload/workload.hpp"
 
 namespace dlb {
@@ -90,5 +94,17 @@ class ActiveSchedule {
   std::vector<Entry> active_;
   std::vector<Entry> scratch_;
 };
+
+/// A step's sampled events: (processor, event) pairs, ascending by
+/// processor, holding only events that generate or consume.
+using StepEvents = std::vector<std::pair<std::uint32_t, WorkEvent>>;
+
+/// Draws one step's events for `entries` (as returned by
+/// ActiveSchedule::advance) into `out`, replacing its contents: per
+/// entry in order, the generate Bernoulli then the consume Bernoulli —
+/// the draw order of Workload::sample, so every caller stays
+/// bit-identical to the plain per-processor loop.
+void sample_events(const std::vector<ActiveSchedule::Entry>& entries,
+                   Rng& rng, StepEvents& out);
 
 }  // namespace dlb
