@@ -24,11 +24,12 @@
 //   first, then its inbound rings in sender order, with follow-ups
 //   pumped in FIFO order), so each shard's slot has exclusive ledger
 //   access and the execution order is a pure function of
-//   (seed, workload, shards, epoch_steps).  The epoch closes when the
-//   token proves quiescence; shard 0 then opens the next epoch.  One
-//   token circulation costs a handful of cache-line hand-offs —
-//   amortized over epoch_steps steps it replaces 2*epoch_steps barrier
-//   waits.
+//   (seed, workload, shards, epoch_steps).  The hand-offs local_done ->
+//   token -> epoch_open_ order every ledger access, so this mode takes
+//   no processor locks.  The epoch closes when the token proves
+//   quiescence; shard 0 then opens the next epoch.  One token
+//   circulation costs a handful of cache-line hand-offs — amortized over
+//   epoch_steps steps it replaces 2*epoch_steps barrier waits.
 //
 //   Relaxed (options.relaxed_order).  Shards free-run the whole horizon
 //   and execute operations *inline* under per-processor spinlocks
@@ -45,6 +46,25 @@
 // instead of nesting calls: an operation never holds more than one
 // sorted lock set, which is what makes the relaxed mode deadlock-free
 // and the deterministic mode's drain order well-defined.
+//
+// Most queued trigger checks are false: a trigger is a local event (the
+// processor's own load drifted by f), and a check that does not fire
+// draws no randomness.  One flag per processor keeps the invariant
+//   may_fire(p) == 0  =>  trigger_fires(p) is false,
+// so a Trigger operation on a clear flag returns without reading p's
+// ledger, bit-identically.  trigger_fires reads only d_p(p) and l_old(p);
+// every write of either keeps the flag current:
+//   - the deterministic local phase: p's owner sets the flag to
+//     trigger_fires(p) after each of p's events that can move d_p(p),
+//     while p's ledger is hot in its cache (relaxed local events just
+//     set it);
+//   - a deal resets every participant's l_old to its d, so it clears
+//     their flags;
+//   - a remote exchange lowers the generator's d_j(j), so it sets j's;
+//   - settle's borrow retry can take p's own class, so it sets p's.
+// Marker cancels and settle's own-class clear touch only b.  Flag writes
+// follow the ledger's exclusivity: the local-phase owner or the token
+// holder (deterministic), p's lock (relaxed).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -87,7 +107,7 @@ class AsyncEngine {
         shards_(shards),
         options_(options),
         detector_(shards),
-        locks_(sys.processors()) {
+        locks_(sys.processors(), options.relaxed_order) {
     shard_.reserve(shards);
     for (std::uint32_t s = 0; s < shards; ++s) {
       // split() draws from the system generator in shard order, so the
@@ -95,6 +115,8 @@ class AsyncEngine {
       shard_.push_back(std::make_unique<Shard>(
           s, shards, sys_.rng_.split(),
           ActiveSchedule::strided(workload, s, shards), sys_.topology_));
+      shard_.back()->may_fire.assign(
+          (sys_.processors() - s + shards - 1) / shards, 1);
       // Zero-alloc opt-in (DESIGN.md §11): warm the per-shard scratch to
       // its bounds — every sampled event is at most one queued op plus
       // follow-ups, and an op touches at most delta+1 processors.  A run
@@ -159,11 +181,18 @@ class AsyncEngine {
     // operation layer runs concurrently in relaxed mode).
     CostLedger costs;
     // Sampled events of the current step.
-    std::vector<std::pair<std::uint32_t, WorkEvent>> events;
-    // Deterministic mode: operations deferred by the local phase, moved
-    // into the fifo at the shard's first token slot of the epoch.
+    StepEvents events;
+    // Deterministic mode: operations deferred by the local phase, run in
+    // place at the shard's first token slot of the epoch.
     std::vector<Msg> deferred;
-    bool deferred_moved = false;
+    bool deferred_drained = false;
+    // Clean-trigger flags of this shard's processors, indexed p / shards
+    // (see the file comment and may_fire()), 1 until proven clean.  One
+    // array per shard, not one shared array: owners write their flags on
+    // every local event, and neighbouring processors belong to different
+    // shards, so a shared array would bounce its cache lines between
+    // them.
+    std::vector<std::uint8_t> may_fire;
     // Own-shard operation queue (follow-ups and, in relaxed mode, the
     // live event operations), executed in FIFO order.  A growable ring
     // (not a deque): capacity plateaus, so the steady state re-enqueues
@@ -189,19 +218,26 @@ class AsyncEngine {
 
   // ---- per-processor spinlocks (relaxed mode's exclusivity) ----------
 
+  // Disabled in deterministic mode, where the token already grants the
+  // executing shard exclusive access: lock and unlock then do nothing.
   class ProcLocks {
    public:
-    explicit ProcLocks(std::size_t n) : locks_(n) {}
+    ProcLocks(std::size_t n, bool enabled)
+        : enabled_(enabled), locks_(enabled ? n : 0) {}
+    bool enabled() const { return enabled_; }
     void lock(std::uint32_t p) {
+      if (!enabled_) return;
       Backoff backoff;
       while (locks_[p].exchange(1, std::memory_order_acquire) != 0)
         backoff.wait();
     }
     void unlock(std::uint32_t p) {
+      if (!enabled_) return;
       locks_[p].store(0, std::memory_order_release);
     }
 
    private:
+    const bool enabled_;
     std::vector<std::atomic<std::uint8_t>> locks_;
   };
 
@@ -229,10 +265,12 @@ class AsyncEngine {
    public:
     ScopedLockSet(ProcLocks& locks, std::vector<std::uint32_t>& ids)
         : locks_(locks), ids_(ids) {
+      if (!locks_.enabled()) return;
       std::sort(ids_.begin(), ids_.end());
       for (std::uint32_t p : ids_) locks_.lock(p);
     }
     ~ScopedLockSet() {
+      if (!locks_.enabled()) return;
       for (auto it = ids_.rbegin(); it != ids_.rend(); ++it)
         locks_.unlock(*it);
     }
@@ -247,6 +285,9 @@ class AsyncEngine {
   // ---- message plumbing ----------------------------------------------
 
   std::uint32_t owner(std::uint32_t p) const { return p % shards_; }
+  std::uint8_t& may_fire(std::uint32_t p) {
+    return shard_[owner(p)]->may_fire[p / shards_];
+  }
   SpscRing<Msg>& ring(std::uint32_t from, std::uint32_t to) {
     return *rings_[static_cast<std::size_t>(from) * shards_ + to];
   }
@@ -347,11 +388,22 @@ class AsyncEngine {
     }
   }
 
-  // Balance trigger check ([D1]) and the deal when it fires.
+  // Balance trigger check ([D1]) and the deal when it fires.  A clear
+  // flag proves the check false; with post-step checks on, every such
+  // skip re-evaluates the check and requires it to be false.
   void exec_trigger(Shard& sh, std::uint32_t p) {
     {
       ScopedLock guard(locks_, p);
-      if (!sys_.trigger_fires(p)) return;
+      if (may_fire(p) == 0) {
+        if (sys_.post_step_check_)
+          DLB_ENSURE(!sys_.trigger_fires(p),
+                     "skipped a trigger check that fires");
+        return;
+      }
+      if (!sys_.trigger_fires(p)) {
+        may_fire(p) = 0;
+        return;
+      }
     }
     balance_op(sh, p, /*forced=*/false);
   }
@@ -372,6 +424,9 @@ class AsyncEngine {
       if (!forced && !sys_.trigger_fires(p)) return;
       sys_.balance_deal(p, sh.partners, sh.rng, sh.costs, &sh.cancel_due,
                         sh.tid);
+      // Every participant now has l_old == d: no trigger can fire.
+      may_fire(p) = 0;
+      for (ProcId q : sh.partners) may_fire(q) = 0;
     }
     for (ProcId q : sh.cancel_due) dispatch(sh, Msg{q, OpKind::Cancel});
   }
@@ -398,6 +453,7 @@ class AsyncEngine {
     const std::int64_t x = std::min(generator.d(j), debtor.borrowed_total());
     DLB_ENSURE(x >= 1, "remote exchange with nothing to exchange");
     generator.remove_real(j, x);
+    may_fire(j) = 1;
     debtor.add_real(j, x);
     sh.costs.record_migration(j, p, static_cast<std::uint64_t>(x));
     sh.costs.record_net_migration(static_cast<std::uint64_t>(x));
@@ -487,7 +543,7 @@ class AsyncEngine {
     // is allowed to borrow some new load packets", §4).
     {
       ScopedLock guard(locks_, p);
-      sys_.try_borrow(p, sh.rng, sh.counters);
+      if (sys_.try_borrow(p, sh.rng, sh.counters)) may_fire(p) = 1;
     }
   }
 
@@ -646,15 +702,12 @@ void AsyncEngine::det_worker(Shard& sh) {
         std::min<std::uint64_t>(horizon, (e + 1) * epoch_steps));
     for (auto t = static_cast<std::uint32_t>(e * epoch_steps); t < t_end;
          ++t) {
-      const auto& entries = sh.schedule.advance(t);
-      sh.events.clear();
-      for (const ActiveSchedule::Entry& entry : entries) {
-        WorkEvent ev;
-        ev.generate = sh.rng.bernoulli(entry.phase->generate_prob);
-        ev.consume = sh.rng.bernoulli(entry.phase->consume_prob);
-        if (ev.generate || ev.consume) sh.events.emplace_back(entry.proc, ev);
-      }
+      sample_events(sh.schedule.advance(t), sh.rng, sh.events);
       for (const auto& [p, ev] : sh.events) {
+        // A generate or an own-class consume can move d_p(p); a borrow
+        // takes another class (d_p(p) is 0 then), so it leaves p's flag
+        // exact.
+        bool moved = ev.generate;
         if (ev.generate) {
           sys_.generate_packet(p, sh.rng, sh.counters);
           sh.deferred.push_back(Msg{p, OpKind::Trigger});
@@ -663,6 +716,7 @@ void AsyncEngine::det_worker(Shard& sh) {
           switch (sys_.consume_packet(p, sh.rng, sh.counters)) {
             case System::ConsumeLocal::ConsumedOwn:
               sh.deferred.push_back(Msg{p, OpKind::Trigger});
+              moved = true;
               break;
             case System::ConsumeLocal::NeedsSettle:
               sh.deferred.push_back(Msg{p, OpKind::Settle});
@@ -672,6 +726,7 @@ void AsyncEngine::det_worker(Shard& sh) {
               break;
           }
         }
+        if (moved) sh.may_fire[p / shards_] = sys_.trigger_fires(p);
       }
     }
     sys_.commit(sh.counters);
@@ -680,7 +735,7 @@ void AsyncEngine::det_worker(Shard& sh) {
       sys_.trace_->record("async_local", "async", local_start,
                           now_ns() - local_start, sh.tid, e);
     sh.local_done.store(e + 1, std::memory_order_release);
-    sh.deferred_moved = false;
+    sh.deferred_drained = false;
 
     // ---- drain phase: the token serializes the operation layer.
     const std::uint64_t drain_phase_start =
@@ -693,7 +748,7 @@ void AsyncEngine::det_worker(Shard& sh) {
         continue;
       }
       token_backoff.reset();
-      const bool first = !sh.deferred_moved;
+      const bool first = !sh.deferred_drained;
       const std::uint64_t slot_start = timed_ ? now_ns() : 0;
       if (first) {
         // The epoch fence: no operation may run before every shard
@@ -704,9 +759,12 @@ void AsyncEngine::det_worker(Shard& sh) {
           wait_local_done(e + 1);
           if (stop_.load(std::memory_order_acquire)) return;
         }
-        for (const Msg& deferred : sh.deferred) sh.fifo.push_back(deferred);
+        // The deferred operations run in place, in order; their
+        // follow-ups queue in the (empty) fifo for pump, so the order is
+        // that of a fifo holding the deferred list first.
+        for (const Msg& deferred : sh.deferred) exec(sh, deferred);
         sh.deferred.clear();
-        sh.deferred_moved = true;
+        sh.deferred_drained = true;
       }
       const std::size_t executed = pump(sh);
       // Settlements retry their borrow inside the slot; publish those
@@ -742,14 +800,7 @@ void AsyncEngine::relaxed_worker(Shard& sh) {
   if (track_allocs) alloc_phase.rebase();
   for (std::uint32_t t = 0; t < horizon; ++t) {
     if (stop_.load(std::memory_order_acquire)) return;
-    const auto& entries = sh.schedule.advance(t);
-    sh.events.clear();
-    for (const ActiveSchedule::Entry& entry : entries) {
-      WorkEvent ev;
-      ev.generate = sh.rng.bernoulli(entry.phase->generate_prob);
-      ev.consume = sh.rng.bernoulli(entry.phase->consume_prob);
-      if (ev.generate || ev.consume) sh.events.emplace_back(entry.proc, ev);
-    }
+    sample_events(sh.schedule.advance(t), sh.rng, sh.events);
     for (const auto& [p, ev] : sh.events) {
       if (ev.generate) {
         {
@@ -757,6 +808,7 @@ void AsyncEngine::relaxed_worker(Shard& sh) {
           // concurrently and may touch p — even the local halves lock.
           ScopedLock guard(locks_, p);
           sys_.generate_packet(p, sh.rng, sh.counters);
+          may_fire(p) = 1;
         }
         dispatch(sh, Msg{p, OpKind::Trigger});
       }
@@ -765,6 +817,7 @@ void AsyncEngine::relaxed_worker(Shard& sh) {
         {
           ScopedLock guard(locks_, p);
           result = sys_.consume_packet(p, sh.rng, sh.counters);
+          may_fire(p) = 1;
         }
         switch (result) {
           case System::ConsumeLocal::ConsumedOwn:
