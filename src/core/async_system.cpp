@@ -1,7 +1,5 @@
 #include "core/async_system.hpp"
 
-#include <algorithm>
-
 #include "support/check.hpp"
 
 namespace dlb {
@@ -10,28 +8,48 @@ AsyncSystem::AsyncSystem(const Topology& topology, AsyncConfig config)
     : topology_(topology),
       config_(config),
       rng_(config.seed),
-      loads_(topology.size(), 0),
-      procs_(topology.size()) {
+      loads_(topology.size(), 0) {
   DLB_REQUIRE(topology_.size() >= 2, "async system needs >= 2 processors");
   DLB_REQUIRE(config_.f > 1.0, "async runtime requires f > 1");
   DLB_REQUIRE(config_.delta >= 1 && config_.delta < topology_.size(),
               "delta out of range");
   DLB_REQUIRE(config_.hop_latency >= 0.0, "latency cannot be negative");
+  procs_.reserve(topology_.size());
+  for (ProcId p = 0; p < topology_.size(); ++p)
+    procs_.emplace_back(p, config_.f, config_.delta, false);
 }
 
-void AsyncSystem::schedule_message(const Message& msg) {
-  ++stats_.messages;
-  const double latency =
-      config_.hop_latency *
-      static_cast<double>(topology_.distance(msg.from, msg.to));
-  Event ev;
-  ev.time = now_ + latency;
-  ev.seq = ++seq_;
-  ev.app = false;
-  ev.proc = msg.to;
-  ev.t = 0;
-  ev.msg = msg;
-  queue_.push(ev);
+void AsyncSystem::send(std::uint32_t to, const TxnMsg& msg) {
+  const double latency = config_.hop_latency *
+                         static_cast<double>(topology_.distance(msg.from, to));
+  queue_.push(Event{now_ + latency, ++seq_, false, to, 0, msg});
+}
+
+void AsyncSystem::open(std::uint32_t self, std::uint64_t txn,
+                       std::vector<std::uint32_t>& partners) {
+  (void)txn;
+  if (config_.partner_radius == 0) {
+    rng_.sample_distinct_into(partners, topology_.size(), config_.delta, self);
+    return;
+  }
+  ball_.clear();
+  for (ProcId v = 0; v < topology_.size(); ++v) {
+    if (v != self && topology_.distance(self, v) <= config_.partner_radius)
+      ball_.push_back(v);
+  }
+  DLB_ENSURE(!ball_.empty(), "neighborhood contains no candidates");
+  if (ball_.size() <= config_.delta) {
+    partners = ball_;
+    return;
+  }
+  const auto size = static_cast<std::uint32_t>(ball_.size());
+  rng_.sample_distinct_into(partners, size, config_.delta, size + 1);
+  for (std::uint32_t& k : partners) k = ball_[k];
+}
+
+const std::vector<std::int64_t>& AsyncSystem::gather_loads() {
+  for (ProcId p = 0; p < topology_.size(); ++p) loads_[p] = procs_[p].load();
+  return loads_;
 }
 
 void AsyncSystem::run(const Trace& trace) {
@@ -44,13 +62,7 @@ void AsyncSystem::run(const Trace& trace) {
     for (ProcId p = 0; p < trace.processors(); ++p) {
       const WorkEvent we = trace.at(p, t);
       if (!we.generate && !we.consume) continue;
-      Event ev;
-      ev.time = static_cast<double>(t);
-      ev.seq = ++seq_;
-      ev.app = true;
-      ev.proc = p;
-      ev.t = t;
-      queue_.push(ev);
+      queue_.push(Event{static_cast<double>(t), ++seq_, true, p, t, {}});
     }
   }
 
@@ -60,187 +72,38 @@ void AsyncSystem::run(const Trace& trace) {
     const Event ev = queue_.top();
     while (next_snapshot < trace.horizon() &&
            ev.time > static_cast<double>(next_snapshot)) {
-      snapshots_.push_back(loads_);
+      snapshots_.push_back(gather_loads());
       ++next_snapshot;
     }
     queue_.pop();
     now_ = ev.time;
     if (ev.app) {
-      execute_app(ev.proc, ev.t, trace.at(ev.proc, ev.t));
+      procs_[ev.proc].apply(trace.at(ev.proc, ev.t), *this);
     } else {
-      deliver(ev.msg);
+      procs_[ev.proc].deliver(ev.msg, *this);
     }
   }
+  gather_loads();
   while (next_snapshot < trace.horizon()) {
     snapshots_.push_back(loads_);
     ++next_snapshot;
   }
 
-  // Every transaction must have drained.
-  for (ProcId p = 0; p < topology_.size(); ++p) {
-    DLB_ENSURE(procs_[p].mode == Mode::Idle,
-               "transaction still open after drain");
-    DLB_ENSURE(procs_[p].deferred.empty(), "deferred demand lost");
+  // Every transaction must have drained (an idle endpoint holds no
+  // deferred demand).
+  for (const TxnEndpoint& proc : procs_) {
+    DLB_ENSURE(proc.idle(), "transaction still open after drain");
+    const TxnCounters& c = proc.counters();
+    stats_.balance_ops += c.balance_ops;
+    stats_.aborted_ops += c.refused_txns;
+    stats_.refusals += c.refusals;
+    stats_.messages += c.messages;
+    stats_.packets_moved += c.packets_moved;
+    stats_.consume_failures += c.consume_failures;
+    stats_.deferred_events += c.deferred_events;
+    stats_.generated += c.generated;
+    stats_.consumed += c.consumed;
   }
-}
-
-void AsyncSystem::execute_app(ProcId p, std::uint32_t t, WorkEvent ev) {
-  Proc& proc = procs_[p];
-  if (proc.mode == Mode::Locked) {
-    // The processor's load is under negotiation; its demand waits for
-    // the assignment (and is replayed in release()).
-    proc.deferred.emplace_back(t, ev);
-    ++stats_.deferred_events;
-    return;
-  }
-  if (ev.generate) {
-    loads_[p] += 1;
-    ++stats_.generated;
-  }
-  if (ev.consume) {
-    if (loads_[p] > 0) {
-      loads_[p] -= 1;
-      ++stats_.consumed;
-    } else {
-      ++stats_.consume_failures;
-    }
-  }
-  maybe_initiate(p);
-}
-
-void AsyncSystem::deliver(const Message& msg) {
-  switch (msg.type) {
-    case MsgType::Invite: handle_invite(msg); return;
-    case MsgType::Accept:
-    case MsgType::Refuse: handle_reply(msg); return;
-    case MsgType::Assign: handle_assign(msg); return;
-  }
-}
-
-void AsyncSystem::handle_invite(const Message& msg) {
-  Proc& proc = procs_[msg.to];
-  if (proc.mode != Mode::Idle) {
-    ++stats_.refusals;
-    schedule_message(
-        Message{MsgType::Refuse, msg.to, msg.from, msg.txn, 0});
-    return;
-  }
-  proc.mode = Mode::Locked;
-  proc.txn = msg.txn;  // reused as the lock's transaction id
-  schedule_message(
-      Message{MsgType::Accept, msg.to, msg.from, msg.txn, loads_[msg.to]});
-}
-
-void AsyncSystem::handle_reply(const Message& msg) {
-  Proc& proc = procs_[msg.to];
-  DLB_ENSURE(proc.mode == Mode::Initiating && msg.txn == proc.txn,
-             "reply without a matching open transaction");
-  DLB_ENSURE(proc.pending > 0, "more replies than invitations");
-  if (msg.type == MsgType::Accept) {
-    proc.accepted.push_back(msg.from);
-    proc.reported.push_back(msg.payload);
-  }
-  --proc.pending;
-  if (proc.pending == 0) finish_transaction(msg.to);
-}
-
-void AsyncSystem::finish_transaction(ProcId p) {
-  Proc& proc = procs_[p];
-  if (proc.accepted.empty()) {
-    ++stats_.aborted_ops;
-    proc.mode = Mode::Idle;
-    proc.l_old = loads_[p];
-    return;
-  }
-  std::int64_t pool = loads_[p];
-  for (std::int64_t l : proc.reported) pool += l;
-  const auto m = static_cast<std::int64_t>(proc.accepted.size()) + 1;
-  const std::int64_t base = pool / m;
-  std::int64_t remainder = pool % m;
-
-  const std::int64_t own_before = loads_[p];
-  const std::int64_t own_share = base + (remainder > 0 ? 1 : 0);
-  if (remainder > 0) --remainder;
-  if (own_share > own_before)
-    stats_.packets_moved +=
-        static_cast<std::uint64_t>(own_share - own_before);
-  loads_[p] = own_share;
-
-  for (std::size_t k = 0; k < proc.accepted.size(); ++k) {
-    const std::int64_t share =
-        base + (static_cast<std::int64_t>(k) < remainder ? 1 : 0);
-    if (share > proc.reported[k])
-      stats_.packets_moved +=
-          static_cast<std::uint64_t>(share - proc.reported[k]);
-    schedule_message(
-        Message{MsgType::Assign, p, proc.accepted[k], proc.txn, share});
-  }
-
-  ++stats_.balance_ops;
-  proc.mode = Mode::Idle;
-  proc.l_old = loads_[p];
-  proc.accepted.clear();
-  proc.reported.clear();
-}
-
-void AsyncSystem::handle_assign(const Message& msg) {
-  Proc& proc = procs_[msg.to];
-  DLB_ENSURE(proc.mode == Mode::Locked && msg.txn == proc.txn,
-             "assignment without a matching lock");
-  loads_[msg.to] = msg.payload;
-  proc.l_old = msg.payload;
-  proc.mode = Mode::Idle;
-  release(msg.to);
-}
-
-void AsyncSystem::release(ProcId p) {
-  // Replay demand that arrived while the processor was locked.  The
-  // replay itself may initiate a new transaction (execute_app handles
-  // all modes), and further deferred events then apply immediately.
-  Proc& proc = procs_[p];
-  std::vector<std::pair<std::uint32_t, WorkEvent>> pending;
-  pending.swap(proc.deferred);
-  for (const auto& [t, ev] : pending) execute_app(p, t, ev);
-}
-
-void AsyncSystem::maybe_initiate(ProcId p) {
-  Proc& proc = procs_[p];
-  if (proc.mode != Mode::Idle) return;
-  const std::int64_t load = loads_[p];
-  const bool grew = load > proc.l_old &&
-                    static_cast<double>(load) >=
-                        config_.f * static_cast<double>(proc.l_old);
-  const bool shrank = load < proc.l_old && proc.l_old >= 1 &&
-                      static_cast<double>(load) <=
-                          static_cast<double>(proc.l_old) / config_.f;
-  if (!grew && !shrank) return;
-
-  proc.mode = Mode::Initiating;
-  proc.txn = ++txn_counter_;
-  proc.accepted.clear();
-  proc.reported.clear();
-  std::vector<ProcId> partners;
-  if (config_.partner_radius == 0) {
-    partners = rng_.sample_distinct(topology_.size(), config_.delta, p);
-  } else {
-    std::vector<ProcId> ball;
-    for (ProcId v = 0; v < topology_.size(); ++v) {
-      if (v != p && topology_.distance(p, v) <= config_.partner_radius)
-        ball.push_back(v);
-    }
-    DLB_ENSURE(!ball.empty(), "neighborhood contains no candidates");
-    if (ball.size() <= config_.delta) {
-      partners = ball;
-    } else {
-      for (std::uint32_t k : rng_.sample_distinct(
-               static_cast<std::uint32_t>(ball.size()), config_.delta,
-               static_cast<std::uint32_t>(ball.size() + 1)))
-        partners.push_back(ball[k]);
-    }
-  }
-  proc.pending = static_cast<std::uint32_t>(partners.size());
-  for (ProcId q : partners)
-    schedule_message(Message{MsgType::Invite, p, q, proc.txn, 0});
 }
 
 }  // namespace dlb
