@@ -85,6 +85,20 @@ TEST(AsyncSystem, HighLatencyCausesRefusalsAndDeferrals) {
   EXPECT_GT(sys.stats().refusals + sys.stats().deferred_events, 0u);
 }
 
+TEST(AsyncSystem, ZeroLatencyTransactionsNeverOverlap) {
+  // Hop latency 0 models the paper's instantaneous operations: each
+  // transaction completes before the next application event runs, so no
+  // two can overlap — nothing is refused, aborted or deferred.
+  const auto topo = Topology::torus2d(4, 4);
+  const auto trace = make_trace(16, 300, 0.7, 0.5, 16);
+  AsyncSystem sys(topo, cfg(1.1, 2, 0.0, 17));
+  sys.run(trace);
+  EXPECT_GT(sys.stats().balance_ops, 0u);
+  EXPECT_EQ(sys.stats().refusals, 0u);
+  EXPECT_EQ(sys.stats().aborted_ops, 0u);
+  EXPECT_EQ(sys.stats().deferred_events, 0u);
+}
+
 TEST(AsyncSystem, NeighborhoodPartnersStayLocal) {
   // On a ring with radius-1 partners, only processor 0 generates; its
   // transactions can only reach 1 and 15 directly, and load can only
