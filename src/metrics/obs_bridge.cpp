@@ -9,11 +9,7 @@ MetricsRecorder::MetricsRecorder(obs::MetricsRegistry& registry)
       borrow_total_(registry.counter("recorder.borrow.total")),
       borrow_remote_(registry.counter("recorder.borrow.remote")),
       borrow_fail_(registry.counter("recorder.borrow.fail")),
-      decrease_sim_(registry.counter("recorder.borrow.decrease_sim")),
-      fault_timeouts_(registry.counter("fault.timeouts")),
-      fault_aborted_(registry.counter("fault.aborted_ops")),
-      fault_lost_(registry.counter("fault.lost_packets")),
-      fault_dead_(registry.counter("fault.ranks_dead")) {}
+      decrease_sim_(registry.counter("recorder.borrow.decrease_sim")) {}
 
 void MetricsRecorder::on_balance_op(std::uint32_t initiator,
                                     std::size_t partners,
@@ -44,23 +40,6 @@ void MetricsRecorder::on_borrow_event(BorrowEvent event) {
       break;
     case BorrowEvent::DecreaseSim:
       decrease_sim_.add(1);
-      break;
-  }
-}
-
-void MetricsRecorder::on_fault(FaultEvent event, std::uint64_t count) {
-  switch (event) {
-    case FaultEvent::Timeout:
-      fault_timeouts_.add(count);
-      break;
-    case FaultEvent::AbortedOp:
-      fault_aborted_.add(count);
-      break;
-    case FaultEvent::LostPacket:
-      fault_lost_.add(count);
-      break;
-    case FaultEvent::RankDeath:
-      fault_dead_.add(count);
       break;
   }
 }

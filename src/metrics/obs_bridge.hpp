@@ -2,11 +2,9 @@
 // metrics registry (src/obs).
 //
 // Anything that already speaks Recorder — the sequential System, the
-// ThreadedSystem robustness counters, the fault benches — can fan into a
-// MetricsRecorder (e.g. via MultiRecorder) and its events land as named
-// counters in a MetricsRegistry next to the phase-profiling histograms,
-// giving the fault counters the time dimension and export path they
-// lacked.
+// figure benches — can fan into a MetricsRecorder (e.g. via
+// MultiRecorder) and its events land as named counters in a
+// MetricsRegistry next to the phase-profiling histograms.
 #pragma once
 
 #include "metrics/recorder.hpp"
@@ -17,7 +15,6 @@ namespace dlb {
 /// Recorder that forwards event hooks into registry counters:
 ///   recorder.balance_ops / .packets_moved / .migrations
 ///   recorder.borrow.{total,remote,fail,decrease_sim}
-///   fault.{timeouts,aborted_ops,lost_packets,ranks_dead}
 /// Counter references are resolved once at construction; the hooks are
 /// then lock-free.
 class MetricsRecorder final : public Recorder {
@@ -29,7 +26,6 @@ class MetricsRecorder final : public Recorder {
   void on_migration(std::uint32_t from, std::uint32_t to,
                     std::uint64_t count) override;
   void on_borrow_event(BorrowEvent event) override;
-  void on_fault(FaultEvent event, std::uint64_t count) override;
 
  private:
   obs::Counter& balance_ops_;
@@ -39,10 +35,6 @@ class MetricsRecorder final : public Recorder {
   obs::Counter& borrow_remote_;
   obs::Counter& borrow_fail_;
   obs::Counter& decrease_sim_;
-  obs::Counter& fault_timeouts_;
-  obs::Counter& fault_aborted_;
-  obs::Counter& fault_lost_;
-  obs::Counter& fault_dead_;
 };
 
 }  // namespace dlb

@@ -21,23 +21,6 @@ BorrowCounters& BorrowCounters::operator+=(const BorrowCounters& other) {
   return *this;
 }
 
-void FaultCounters::bump(FaultEvent event, std::uint64_t count) {
-  switch (event) {
-    case FaultEvent::Timeout: timeouts += count; break;
-    case FaultEvent::AbortedOp: aborted_ops += count; break;
-    case FaultEvent::LostPacket: lost_packets += count; break;
-    case FaultEvent::RankDeath: ranks_dead += count; break;
-  }
-}
-
-FaultCounters& FaultCounters::operator+=(const FaultCounters& other) {
-  timeouts += other.timeouts;
-  aborted_ops += other.aborted_ops;
-  lost_packets += other.lost_packets;
-  ranks_dead += other.ranks_dead;
-  return *this;
-}
-
 void MultiRecorder::attach(Recorder* recorder) {
   DLB_REQUIRE(recorder != nullptr, "cannot attach a null recorder");
   recorders_.push_back(recorder);
@@ -70,23 +53,6 @@ void MultiRecorder::on_migration(std::uint32_t from, std::uint32_t to,
 
 void MultiRecorder::on_borrow_event(BorrowEvent event) {
   for (Recorder* r : recorders_) r->on_borrow_event(event);
-}
-
-void MultiRecorder::on_fault(FaultEvent event, std::uint64_t count) {
-  for (Recorder* r : recorders_) r->on_fault(event, count);
-}
-
-void FaultCounterRecorder::begin_run(std::uint32_t run) { (void)run; }
-
-void FaultCounterRecorder::end_run() { ++runs_; }
-
-void FaultCounterRecorder::on_fault(FaultEvent event, std::uint64_t count) {
-  totals_.bump(event, count);
-}
-
-void FaultCounterRecorder::merge(const FaultCounterRecorder& other) {
-  totals_ += other.totals_;
-  runs_ += other.runs_;
 }
 
 LoadSeriesRecorder::LoadSeriesRecorder(std::uint32_t steps)

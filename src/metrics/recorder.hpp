@@ -26,28 +26,6 @@ enum class BorrowEvent {
   DecreaseSim,   // a simulated workload decrease was initiated
 };
 
-/// Robustness events from the fault-tolerant runtimes (mp/fault.hpp,
-/// runtime/threaded_system.hpp): protocol waits that expired, balance
-/// transactions that rolled back, messages/payloads lost in flight,
-/// and ranks that crashed.
-enum class FaultEvent {
-  Timeout,     // a deadline-based protocol wait expired
-  AbortedOp,   // a balance transaction rolled back (missing Assign)
-  LostPacket,  // a message or its payload was lost in flight
-  RankDeath,   // a rank crashed per the fault schedule
-};
-
-/// Aggregated robustness counters (see FaultCounterRecorder).
-struct FaultCounters {
-  std::uint64_t timeouts = 0;
-  std::uint64_t aborted_ops = 0;
-  std::uint64_t lost_packets = 0;
-  std::uint64_t ranks_dead = 0;
-
-  void bump(FaultEvent event, std::uint64_t count);
-  FaultCounters& operator+=(const FaultCounters& other);
-};
-
 /// Table 1 row: event counts, reported as per-run averages.
 struct BorrowCounters {
   std::uint64_t total_borrow = 0;
@@ -97,13 +75,6 @@ class Recorder {
   }
 
   virtual void on_borrow_event(BorrowEvent event) { (void)event; }
-
-  /// `count` robustness events of kind `event` occurred (the threaded
-  /// runtime reports aggregate counts once per run).
-  virtual void on_fault(FaultEvent event, std::uint64_t count) {
-    (void)event;
-    (void)count;
-  }
 };
 
 /// Fans hooks out to several recorders (non-owning).
@@ -120,7 +91,6 @@ class MultiRecorder final : public Recorder {
   void on_migration(std::uint32_t from, std::uint32_t to,
                     std::uint64_t count) override;
   void on_borrow_event(BorrowEvent event) override;
-  void on_fault(FaultEvent event, std::uint64_t count) override;
 
  private:
   std::vector<Recorder*> recorders_;
@@ -190,25 +160,6 @@ class BorrowCounterRecorder final : public Recorder {
   BorrowCounters current_;
   BorrowCounters totals_;
   bool in_run_ = false;
-};
-
-/// Robustness counters for the fault benches and the ThreadedSystem
-/// metrics surface: accumulates FaultEvent counts across runs.
-class FaultCounterRecorder final : public Recorder {
- public:
-  void begin_run(std::uint32_t run) override;
-  void end_run() override;
-  void on_fault(FaultEvent event, std::uint64_t count) override;
-
-  std::uint32_t runs() const { return runs_; }
-  const FaultCounters& totals() const { return totals_; }
-
-  /// Merges completed runs of another recorder (parallel runner).
-  void merge(const FaultCounterRecorder& other);
-
- private:
-  std::uint32_t runs_ = 0;
-  FaultCounters totals_;
 };
 
 /// Per-step balancing-activity counts (for the §6 cost benches).

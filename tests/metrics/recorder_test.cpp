@@ -110,24 +110,6 @@ TEST(ActivityRecorder, AveragesPerRun) {
   EXPECT_DOUBLE_EQ(rec.avg_packets_moved_per_run(), 30.0);
 }
 
-TEST(FaultCounterRecorder, AccumulatesAcrossRuns) {
-  FaultCounterRecorder rec;
-  rec.begin_run(0);
-  rec.on_fault(FaultEvent::Timeout, 2);
-  rec.on_fault(FaultEvent::LostPacket, 3);
-  rec.end_run();
-  rec.begin_run(1);
-  rec.on_fault(FaultEvent::Timeout, 1);
-  rec.on_fault(FaultEvent::AbortedOp, 4);
-  rec.on_fault(FaultEvent::RankDeath, 1);
-  rec.end_run();
-  EXPECT_EQ(rec.runs(), 2u);
-  EXPECT_EQ(rec.totals().timeouts, 3u);
-  EXPECT_EQ(rec.totals().aborted_ops, 4u);
-  EXPECT_EQ(rec.totals().lost_packets, 3u);
-  EXPECT_EQ(rec.totals().ranks_dead, 1u);
-}
-
 TEST(MultiRecorder, FansOutAllHooks) {
   BorrowCounterRecorder borrow;
   ActivityRecorder activity;
@@ -148,23 +130,19 @@ TEST(MultiRecorder, FansOutAllHooks) {
   EXPECT_DOUBLE_EQ(series.series().mean(0), 2.0);
 }
 
-// A probe recording the raw arguments of the hooks MultiRecorder must
-// forward verbatim — on_migration and on_fault have no aggregating
-// recorder above to witness them.
+// A probe recording the raw arguments of the hook MultiRecorder must
+// forward verbatim — on_migration has no aggregating recorder above to
+// witness it.
 struct ProbeRecorder final : Recorder {
   struct Migration {
     std::uint32_t from, to;
     std::uint64_t count;
   };
   std::vector<Migration> migrations;
-  FaultCounters faults;
 
   void on_migration(std::uint32_t from, std::uint32_t to,
                     std::uint64_t count) override {
     migrations.push_back({from, to, count});
-  }
-  void on_fault(FaultEvent event, std::uint64_t count) override {
-    faults.bump(event, count);
   }
 };
 
@@ -187,27 +165,6 @@ TEST(MultiRecorder, FansOutMigrationsToEveryAttachedRecorder) {
     EXPECT_EQ(probe->migrations[1].to, 3u);
     EXPECT_EQ(probe->migrations[1].count, 2u);
   }
-}
-
-TEST(MultiRecorder, FansOutFaultsToEveryAttachedRecorder) {
-  ProbeRecorder a;
-  FaultCounterRecorder counting;
-  MultiRecorder multi;
-  multi.attach(&a);
-  multi.attach(&counting);
-
-  counting.begin_run(0);
-  multi.on_fault(FaultEvent::Timeout, 5);
-  multi.on_fault(FaultEvent::LostPacket, 2);
-  multi.on_fault(FaultEvent::RankDeath, 1);
-  counting.end_run();
-
-  EXPECT_EQ(a.faults.timeouts, 5u);
-  EXPECT_EQ(a.faults.lost_packets, 2u);
-  EXPECT_EQ(a.faults.ranks_dead, 1u);
-  EXPECT_EQ(counting.totals().timeouts, 5u);
-  EXPECT_EQ(counting.totals().lost_packets, 2u);
-  EXPECT_EQ(counting.totals().ranks_dead, 1u);
 }
 
 TEST(MultiRecorder, RejectsNull) {

@@ -368,10 +368,6 @@ TEST(MetricsRecorderBridge, ForwardsEveryHookIntoCounters) {
   rec.on_borrow_event(BorrowEvent::RemoteBorrow);
   rec.on_borrow_event(BorrowEvent::BorrowFail);
   rec.on_borrow_event(BorrowEvent::DecreaseSim);
-  rec.on_fault(FaultEvent::Timeout, 3);
-  rec.on_fault(FaultEvent::AbortedOp, 2);
-  rec.on_fault(FaultEvent::LostPacket, 5);
-  rec.on_fault(FaultEvent::RankDeath, 1);
   EXPECT_EQ(reg.counter("recorder.balance_ops").value(), 2u);
   EXPECT_EQ(reg.counter("recorder.packets_moved").value(), 10u);
   EXPECT_EQ(reg.counter("recorder.migrations").value(), 4u);
@@ -379,10 +375,6 @@ TEST(MetricsRecorderBridge, ForwardsEveryHookIntoCounters) {
   EXPECT_EQ(reg.counter("recorder.borrow.remote").value(), 1u);
   EXPECT_EQ(reg.counter("recorder.borrow.fail").value(), 1u);
   EXPECT_EQ(reg.counter("recorder.borrow.decrease_sim").value(), 1u);
-  EXPECT_EQ(reg.counter("fault.timeouts").value(), 3u);
-  EXPECT_EQ(reg.counter("fault.aborted_ops").value(), 2u);
-  EXPECT_EQ(reg.counter("fault.lost_packets").value(), 5u);
-  EXPECT_EQ(reg.counter("fault.ranks_dead").value(), 1u);
 }
 
 // ---- System wiring ----------------------------------------------------

@@ -9,7 +9,7 @@
 #include <chrono>
 #include <cstdint>
 
-#include "metrics/recorder.hpp"
+#include "obs/metrics.hpp"
 #include "support/check.hpp"
 
 namespace dlb {
@@ -141,18 +141,22 @@ TEST(FaultTolerantRuntime, MultipleCrashesTerminate) {
   EXPECT_EQ(sys.stats().ranks_dead, 2u);
 }
 
-TEST(FaultTolerantRuntime, RecorderReceivesFaultCounters) {
-  FaultCounterRecorder recorder;
+TEST(FaultTolerantRuntime, RegistryReceivesFaultCounters) {
+  obs::MetricsRegistry registry;
   ThreadedConfig cfg = faulty_cfg(0.20);
   cfg.faults.kill(3, 150);
   ThreadedSystem sys(8, cfg);
-  sys.set_recorder(&recorder);
+  sys.attach_metrics(&registry);
   sys.run(make_trace(8, 300, 11));
   const ThreadedStats& stats = sys.stats();
-  EXPECT_EQ(recorder.totals().timeouts, stats.timeouts);
-  EXPECT_EQ(recorder.totals().aborted_ops, stats.aborted_ops);
-  EXPECT_EQ(recorder.totals().lost_packets, stats.lost_packets);
-  EXPECT_EQ(recorder.totals().ranks_dead, stats.ranks_dead);
+  EXPECT_EQ(registry.counter("threaded.fault.timeouts").value(),
+            stats.timeouts);
+  EXPECT_EQ(registry.counter("threaded.fault.aborted_ops").value(),
+            stats.aborted_ops);
+  EXPECT_EQ(registry.counter("threaded.fault.lost_packets").value(),
+            stats.lost_packets);
+  EXPECT_EQ(registry.counter("threaded.fault.ranks_dead").value(),
+            stats.ranks_dead);
 }
 
 TEST(FaultTolerantRuntime, RejectsInvalidCrashRanks) {
