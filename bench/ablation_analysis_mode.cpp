@@ -35,11 +35,12 @@ int main(int argc, char** argv) {
       spec.config.delta = 2;
       spec.config.analysis_mode = analysis;
       SnapshotRecorder snap(spec.processors, {spec.horizon - 1});
-      ActivityRecorder activity;
-      MultiRecorder multi;
-      multi.attach(&snap);
-      multi.attach(&activity);
-      run_experiment(spec, paper_workload_factory(), multi);
+      obs::MetricsRegistry registry;
+      run_experiment(spec, paper_workload_factory(), &snap, &registry);
+      const auto per_run = [&](const char* counter) {
+        return static_cast<double>(registry.counter(counter).value()) /
+               static_cast<double>(spec.runs);
+      };
       double lo = 1e18;
       double hi = -1e18;
       double widest = 0.0;
@@ -55,8 +56,8 @@ int main(int argc, char** argv) {
           .cell(static_cast<std::size_t>(spec.config.delta))
           .cell(hi - lo, 2)
           .cell(widest, 0)
-          .cell(activity.avg_operations_per_run(), 1)
-          .cell(activity.avg_packets_moved_per_run(), 0);
+          .cell(per_run("system.balance_ops"), 1)
+          .cell(per_run("system.packets_moved"), 0);
     }
   }
   table.print(std::cout);

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   for (double f : {1.1, 1.8}) {
     spec.config.f = f;
     LoadSeriesRecorder recorder(spec.horizon);
-    run_experiment(spec, paper_workload_factory(), recorder);
+    run_experiment(spec, paper_workload_factory(), &recorder);
     bench::print_series(recorder, 25,
                         "delta=1 f=" + format_double(f, 1) + " ("
                             + std::to_string(spec.runs) + " runs)",

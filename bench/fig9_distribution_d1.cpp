@@ -22,7 +22,7 @@ void run_figure(ExperimentSpec spec, double f,
   spec.config.f = f;
   const std::vector<std::uint32_t> times{49, 199, 399};  // 0-based steps
   SnapshotRecorder recorder(spec.processors, times);
-  run_experiment(spec, paper_workload_factory(), recorder);
+  run_experiment(spec, paper_workload_factory(), &recorder);
 
   std::cout << "-- delta=" << spec.config.delta << " f=" << f << " --\n";
   TextTable table({"proc", "E@50", "min@50", "max@50", "E@200", "min@200",

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     spec.config.borrow_cap = c.cap;
     const std::vector<std::uint32_t> times{49, 199, 399};
     SnapshotRecorder recorder(spec.processors, times);
-    run_experiment(spec, paper_workload_factory(), recorder);
+    run_experiment(spec, paper_workload_factory(), &recorder);
     const double factor = theorem4_factor(c.delta, c.f);
     for (std::size_t s = 0; s < times.size(); ++s) {
       double max_mean = 0.0;

@@ -1,42 +1,27 @@
 #include "core/experiment.hpp"
 
+#include "core/system.hpp"
 #include "support/check.hpp"
 
 namespace dlb {
 
-std::vector<RunSeeds> derive_run_seeds(const ExperimentSpec& spec) {
+void run_experiment(const ExperimentSpec& spec,
+                    const WorkloadFactory& make_workload, Recorder* recorder,
+                    obs::MetricsRegistry* registry) {
   DLB_REQUIRE(spec.runs >= 1, "experiment needs at least one run");
+  spec.config.validate(spec.processors);
   Rng master(spec.seed);
-  std::vector<RunSeeds> seeds;
-  seeds.reserve(spec.runs);
   for (std::uint32_t run = 0; run < spec.runs; ++run) {
     Rng workload_rng = master.split();
     const std::uint64_t system_seed = master.next();
-    seeds.push_back(RunSeeds{workload_rng, system_seed});
+    const Workload workload =
+        make_workload(spec.processors, spec.horizon, workload_rng);
+    System system(spec.processors, spec.config, system_seed);
+    system.attach_recorder(recorder);
+    system.attach_metrics(registry);
+    system.run(workload);
+    system.check_invariants();
   }
-  return seeds;
-}
-
-void run_single(const ExperimentSpec& spec,
-                const WorkloadFactory& make_workload, RunSeeds seeds,
-                std::uint32_t run_index, Recorder& recorder) {
-  spec.config.validate(spec.processors);
-  const Workload workload =
-      make_workload(spec.processors, spec.horizon, seeds.workload_rng);
-  recorder.begin_run(run_index);
-  System system(spec.processors, spec.config, seeds.system_seed);
-  system.attach_recorder(&recorder);
-  system.run(workload);
-  system.check_invariants();
-  recorder.end_run();
-}
-
-void run_experiment(const ExperimentSpec& spec,
-                    const WorkloadFactory& make_workload,
-                    Recorder& recorder) {
-  const std::vector<RunSeeds> seeds = derive_run_seeds(spec);
-  for (std::uint32_t run = 0; run < spec.runs; ++run)
-    run_single(spec, make_workload, seeds[run], run, recorder);
 }
 
 WorkloadFactory paper_workload_factory(const WorkloadParams& params) {

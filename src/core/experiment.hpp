@@ -3,23 +3,18 @@
 //
 // Each run draws a fresh workload realization and a fresh System seed from
 // a master seed, runs the full horizon, and reports into the attached
-// recorder between begin_run/end_run brackets.  Invariants are verified at
-// the end of every run, so a silently corrupted simulation can never
-// produce a figure.
+// sinks: per-step loads into the recorder, event counts (system.*) into
+// the registry, whose counters therefore sum over the runs.  Invariants
+// are verified at the end of every run, so a silently corrupted
+// simulation can never produce a figure.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "core/config.hpp"
-#include "core/system.hpp"
 #include "metrics/recorder.hpp"
-#include "support/check.hpp"
+#include "obs/metrics.hpp"
 #include "workload/workload.hpp"
 
 namespace dlb {
@@ -37,77 +32,14 @@ using WorkloadFactory =
     std::function<Workload(std::uint32_t processors, std::uint32_t horizon,
                            Rng& rng)>;
 
-/// Runs the experiment; `recorder` receives begin_run / per-step loads /
-/// borrow + balance events / end_run for every run.
+/// Runs the experiment, attaching both sinks to every run's System.
+/// Either may be null; neither is owned.
 void run_experiment(const ExperimentSpec& spec,
-                    const WorkloadFactory& make_workload,
-                    Recorder& recorder);
-
-/// Pre-derived per-run seeds, so parallel and sequential execution of
-/// the same spec feed identical (workload, system) randomness per run.
-struct RunSeeds {
-  Rng workload_rng;
-  std::uint64_t system_seed;
-};
-std::vector<RunSeeds> derive_run_seeds(const ExperimentSpec& spec);
-
-/// Executes one run (given its seeds) against `recorder`.
-void run_single(const ExperimentSpec& spec,
-                const WorkloadFactory& make_workload, RunSeeds seeds,
-                std::uint32_t run_index, Recorder& recorder);
-
-/// Parallel experiment runner: splits the runs over `threads` worker
-/// threads, each with its own RecorderT instance created by
-/// `make_recorder`, and merges the partial recorders into `result` via
-/// RecorderT::merge.  Per-run randomness matches run_experiment exactly,
-/// so the aggregate differs from the sequential result only by
-/// floating-point merge order (tested).
-template <typename RecorderT, typename MakeRecorder>
-void run_experiment_parallel(const ExperimentSpec& spec,
-                             const WorkloadFactory& make_workload,
-                             RecorderT& result, unsigned threads,
-                             const MakeRecorder& make_recorder);
+                    const WorkloadFactory& make_workload, Recorder* recorder,
+                    obs::MetricsRegistry* registry = nullptr);
 
 /// The §7 benchmark workload factory (paper parameters by default).
 WorkloadFactory paper_workload_factory(
     const WorkloadParams& params = WorkloadParams{});
-
-// ---- template implementation ------------------------------------------
-
-template <typename RecorderT, typename MakeRecorder>
-void run_experiment_parallel(const ExperimentSpec& spec,
-                             const WorkloadFactory& make_workload,
-                             RecorderT& result, unsigned threads,
-                             const MakeRecorder& make_recorder) {
-  DLB_REQUIRE(threads >= 1, "need at least one worker thread");
-  const std::vector<RunSeeds> seeds = derive_run_seeds(spec);
-  std::vector<RecorderT> partials;
-  partials.reserve(threads);
-  for (unsigned w = 0; w < threads; ++w) partials.push_back(make_recorder());
-
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  std::atomic<std::uint32_t> next_run{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  for (unsigned w = 0; w < threads; ++w) {
-    workers.emplace_back([&, w] {
-      try {
-        while (true) {
-          const std::uint32_t run =
-              next_run.fetch_add(1, std::memory_order_relaxed);
-          if (run >= spec.runs) break;
-          run_single(spec, make_workload, seeds[run], run, partials[w]);
-        }
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-  }
-  for (auto& worker : workers) worker.join();
-  if (first_error) std::rethrow_exception(first_error);
-  for (const RecorderT& partial : partials) result.merge(partial);
-}
 
 }  // namespace dlb

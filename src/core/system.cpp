@@ -188,8 +188,7 @@ void System::emit_loads(std::uint32_t t) {
 
 void System::commit(const StepCounters& counters) {
   // Each add is a locked read-modify-write, so zero fields are skipped
-  // and the borrows go to the registry as one add; only an attached
-  // recorder sees them one event at a time.
+  // and the borrows go to the registry as one add.
   if (counters.generated != 0) {
     generated_.add(counters.generated);
     if (metrics_ != nullptr) m_.generated->add(counters.generated);
@@ -198,12 +197,8 @@ void System::commit(const StepCounters& counters) {
     consumed_.add(counters.consumed);
     if (metrics_ != nullptr) m_.consumed->add(counters.consumed);
   }
-  if (counters.total_borrows != 0) {
-    if (metrics_ != nullptr) m_.borrow_total->add(counters.total_borrows);
-    if (recorder_ != nullptr)
-      for (std::uint64_t i = 0; i < counters.total_borrows; ++i)
-        recorder_->on_borrow_event(BorrowEvent::TotalBorrow);
-  }
+  if (counters.total_borrows != 0 && metrics_ != nullptr)
+    m_.borrow_total->add(counters.total_borrows);
 }
 
 void System::generate(std::uint32_t p) {
@@ -307,7 +302,7 @@ void System::settle_debts(std::uint32_t p, Rng& rng) {
     // A marker of p's own class can be settled locally: the deferred
     // virtual decrease of class p is realized on the spot ([D6]).
     ledger.clear_marker(j);
-    emit_borrow_event(BorrowEvent::DecreaseSim);
+    count_event(m_.decrease_sim);
     maybe_balance(p, rng);
     return;
   }
@@ -319,7 +314,7 @@ void System::settle_debts(std::uint32_t p, Rng& rng) {
 }
 
 void System::remote_exchange(std::uint32_t p, std::uint32_t j, Rng& rng) {
-  emit_borrow_event(BorrowEvent::RemoteBorrow);
+  count_event(m_.borrow_remote);
   Ledger& debtor = procs_[p].ledger;
   Ledger& generator = procs_[j].ledger;
   const std::int64_t x =
@@ -348,13 +343,13 @@ void System::remote_exchange(std::uint32_t p, std::uint32_t j, Rng& rng) {
   }
   // j's self-generated load dropped by x: simulate the workload decrease
   // (at most one balancing operation, as required by §4).
-  emit_borrow_event(BorrowEvent::DecreaseSim);
+  count_event(m_.decrease_sim);
   maybe_balance(j, rng);
 }
 
 void System::resolve_empty_generator(std::uint32_t p, std::uint32_t j,
                                      Rng& rng) {
-  emit_borrow_event(BorrowEvent::BorrowFail);
+  count_event(m_.borrow_fail);
   // [D5] The generator j holds none of its own packets.  It first runs a
   // balancing operation with delta random partners, which pulls class-j
   // packets (or markers) toward j.
@@ -722,8 +717,6 @@ std::size_t System::balance_deal(std::uint32_t initiator,
     m_.balance_ops->add(1);
     m_.packets_moved->add(dealt.moved);
   }
-  if (recorder_ != nullptr)
-    recorder_->on_balance_op(initiator, partners.size(), dealt.moved);
   return due;
 }
 
@@ -731,7 +724,7 @@ void System::cancel_self_markers(std::uint32_t p, Rng& rng) {
   Ledger& ledger = procs_[p].ledger;
   if (ledger.b(p) == 0) return;
   while (ledger.b(p) > 0) ledger.clear_marker(p);
-  emit_borrow_event(BorrowEvent::DecreaseSim);
+  count_event(m_.decrease_sim);
   maybe_balance(p, rng);
 }
 
@@ -740,26 +733,6 @@ void System::force_balance(std::uint32_t p) {
   detail::ScratchVecLease partners;
   draw_partners(p, rng_, *partners);
   balance(p, *partners, rng_);
-}
-
-void System::emit_borrow_event(BorrowEvent event) {
-  if (metrics_ != nullptr) {
-    switch (event) {
-      case BorrowEvent::TotalBorrow:
-        m_.borrow_total->add(1);
-        break;
-      case BorrowEvent::RemoteBorrow:
-        m_.borrow_remote->add(1);
-        break;
-      case BorrowEvent::BorrowFail:
-        m_.borrow_fail->add(1);
-        break;
-      case BorrowEvent::DecreaseSim:
-        m_.decrease_sim->add(1);
-        break;
-    }
-  }
-  if (recorder_ != nullptr) recorder_->on_borrow_event(event);
 }
 
 void System::check_invariants() const {

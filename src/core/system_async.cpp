@@ -440,14 +440,14 @@ class AsyncEngine {
       if (ledger.b(q) == 0) return;  // already settled meanwhile
       while (ledger.b(q) > 0) ledger.clear_marker(q);
     }
-    sys_.emit_borrow_event(BorrowEvent::DecreaseSim);
+    System::count_event(sys_.m_.decrease_sim);
     dispatch(sh, Msg{q, OpKind::Trigger});
   }
 
   // Remote exchange [D4] with both ledgers held by the caller; the
   // generator's simulated decrease becomes a Trigger follow-up.
   void remote_exchange_locked(Shard& sh, std::uint32_t p, std::uint32_t j) {
-    sys_.emit_borrow_event(BorrowEvent::RemoteBorrow);
+    System::count_event(sys_.m_.borrow_remote);
     Ledger& debtor = sys_.procs_[p].ledger;
     Ledger& generator = sys_.procs_[j].ledger;
     const std::int64_t x = std::min(generator.d(j), debtor.borrowed_total());
@@ -466,7 +466,7 @@ class AsyncEngine {
       debtor.clear_marker(debtor.nth_marked(0));
       --to_clear;
     }
-    sys_.emit_borrow_event(BorrowEvent::DecreaseSim);
+    System::count_event(sys_.m_.decrease_sim);
   }
 
   // Debt settlement + borrow retry (the deferred form of the sequential
@@ -496,7 +496,7 @@ class AsyncEngine {
         }
       }
       if (j == p) {
-        sys_.emit_borrow_event(BorrowEvent::DecreaseSim);
+        System::count_event(sys_.m_.decrease_sim);
         dispatch(sh, Msg{p, OpKind::Trigger});
         break;
       }
@@ -520,7 +520,7 @@ class AsyncEngine {
       // packets.  A deal initiated by j pulls class-j packets toward it;
       // if that restocked the generator, exchange, otherwise a deal
       // initiated by p spreads p's load and markers afresh.
-      sys_.emit_borrow_event(BorrowEvent::BorrowFail);
+      System::count_event(sys_.m_.borrow_fail);
       balance_op(sh, j, /*forced=*/true);
       bool exchanged = false;
       {

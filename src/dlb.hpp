@@ -30,7 +30,7 @@
 #include "core/async_system.hpp"    // event-driven simulator with latency
 #include "core/system.hpp"          // the n-processor simulator
 #include "metrics/imbalance.hpp"    // imbalance measures
-#include "metrics/recorder.hpp"     // figure/table observers
+#include "metrics/recorder.hpp"     // per-step load observers (figures)
 #include "net/cost_model.hpp"       // message/migration cost accounting
 #include "net/topology.hpp"         // interconnection networks
 #include "mp/communicator.hpp"      // mini message-passing interface

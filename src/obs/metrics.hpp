@@ -1,9 +1,11 @@
 // Metrics registry: named counters, gauges and log2-bucketed histograms.
 //
-// The Recorder interface (metrics/recorder.hpp) serves the paper's
-// figures; this registry serves *operations*: how many balance ops ran,
-// how long each run_async epoch waited for quiescence, how many
-// messages a link dropped.  Instruments are created once by name and
+// The registry is the one place events are counted: how many balance
+// ops ran and packets moved, Table 1's borrow events (system.borrow.*,
+// read by bench/table1_borrow), how long each run_async epoch waited
+// for quiescence, how many messages a link dropped.  The Recorder
+// interface (metrics/recorder.hpp) only observes per-step loads and
+// migrations for the figures.  Instruments are created once by name and
 // then updated lock-free (relaxed atomics), so a hot path pays one
 // pointer-null check when observability is detached and one relaxed
 // atomic RMW when attached.  A snapshot() walks the registry under its

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/system.hpp"
-#include "metrics/recorder.hpp"
+#include "obs/metrics.hpp"
 
 namespace dlb {
 namespace {
@@ -27,9 +27,8 @@ void spread_class0(System& sys, int packets) {
 
 TEST(BorrowProtocol, LocalBorrowEmitsEventAndCreatesMarker) {
   System sys(2, cfg(4), 1);
-  BorrowCounterRecorder rec;
-  rec.begin_run(0);
-  sys.attach_recorder(&rec);
+  obs::MetricsRegistry reg;
+  sys.attach_metrics(&reg);
 
   spread_class0(sys, 8);  // both processors now hold class-0 packets
   ASSERT_GT(sys.processor(1).ledger.d(0), 0);
@@ -39,8 +38,7 @@ TEST(BorrowProtocol, LocalBorrowEmitsEventAndCreatesMarker) {
   ASSERT_TRUE(sys.consume(1));
   EXPECT_EQ(sys.processor(1).ledger.b(0), 1);
   EXPECT_EQ(sys.processor(1).ledger.borrowed_total(), 1);
-  rec.end_run();
-  EXPECT_EQ(rec.totals().total_borrow, 1u);
+  EXPECT_EQ(reg.counter("system.borrow.total").value(), 1u);
   sys.check_invariants();
 }
 
@@ -63,18 +61,16 @@ TEST(BorrowProtocol, GenerationRepaysOutstandingDebt) {
 TEST(BorrowProtocol, CapExhaustionTriggersRemoteExchange) {
   // C = 1: the second credit consumption must settle remotely first.
   System sys(2, cfg(1), 3);
-  BorrowCounterRecorder rec;
-  rec.begin_run(0);
-  sys.attach_recorder(&rec);
+  obs::MetricsRegistry reg;
+  sys.attach_metrics(&reg);
 
   spread_class0(sys, 12);
   ASSERT_GT(sys.processor(0).ledger.d(0), 0);
 
   ASSERT_TRUE(sys.consume(1));  // borrow 1 (cap reached)
   ASSERT_TRUE(sys.consume(1));  // settle + borrow again
-  rec.end_run();
-  EXPECT_GE(rec.totals().remote_borrow, 1u);
-  EXPECT_GE(rec.totals().decrease_sim, 1u);
+  EXPECT_GE(reg.counter("system.borrow.remote").value(), 1u);
+  EXPECT_GE(reg.counter("system.borrow.decrease_sim").value(), 1u);
   EXPECT_LE(sys.processor(1).ledger.borrowed_total(), 1);
   sys.check_invariants();
 }
@@ -101,13 +97,11 @@ TEST(BorrowProtocol, EmptyGeneratorResolutionOccursUnderPressure) {
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     BalancerConfig c = cfg(1, 1.1, 1);
     System sys(8, c, seed);
-    BorrowCounterRecorder rec;
-    rec.begin_run(0);
-    sys.attach_recorder(&rec);
+    obs::MetricsRegistry reg;
+    sys.attach_metrics(&reg);
     const Workload wl = Workload::uniform(8, 500, 0.4, 0.7);
     sys.run(wl);
-    rec.end_run();
-    fails += rec.totals().borrow_fail;
+    fails += reg.counter("system.borrow.fail").value();
     sys.check_invariants();
   }
   EXPECT_GT(fails, 0u);
@@ -163,13 +157,11 @@ TEST(BorrowProtocol, LongCreditHeavyRunStaysConsistent) {
   // of times; invariants and the cap must hold throughout.
   BalancerConfig c = cfg(2, 1.1, 2);
   System sys(8, c, 9);
-  BorrowCounterRecorder rec;
-  rec.begin_run(0);
-  sys.attach_recorder(&rec);
+  obs::MetricsRegistry reg;
+  sys.attach_metrics(&reg);
   const Workload wl = Workload::uniform(8, 600, 0.45, 0.65);
   sys.run(wl);
-  rec.end_run();
-  EXPECT_GT(rec.totals().total_borrow, 100u);
+  EXPECT_GT(reg.counter("system.borrow.total").value(), 100u);
   sys.check_invariants();
   for (std::uint32_t p = 0; p < 8; ++p)
     EXPECT_LE(sys.processor(p).ledger.borrowed_total(), 2);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "support/check.hpp"
 
 namespace dlb {
@@ -13,9 +14,11 @@ TEST(Experiment, RunsRequestedNumberOfRuns) {
   spec.horizon = 50;
   spec.runs = 5;
   spec.seed = 1;
-  BorrowCounterRecorder recorder;
-  run_experiment(spec, paper_workload_factory(), recorder);
-  EXPECT_EQ(recorder.runs(), 5u);
+  obs::MetricsRegistry registry;
+  run_experiment(spec, paper_workload_factory(), nullptr, &registry);
+  // Every run's System reports into the one registry: one
+  // active-processor sample per step of each of the 5 runs.
+  EXPECT_EQ(registry.histogram("system.step.active").count(), 5u * 50u);
 }
 
 TEST(Experiment, SeriesRecorderSeesEveryStep) {
@@ -25,7 +28,7 @@ TEST(Experiment, SeriesRecorderSeesEveryStep) {
   spec.runs = 3;
   spec.seed = 2;
   LoadSeriesRecorder recorder(30);
-  run_experiment(spec, paper_workload_factory(), recorder);
+  run_experiment(spec, paper_workload_factory(), &recorder);
   // 4 processors x 3 runs observations per step.
   EXPECT_EQ(recorder.series().at(0).count(), 12u);
   EXPECT_EQ(recorder.series().at(29).count(), 12u);
@@ -39,8 +42,8 @@ TEST(Experiment, DeterministicInMasterSeed) {
   spec.seed = 33;
   LoadSeriesRecorder a(40);
   LoadSeriesRecorder b(40);
-  run_experiment(spec, paper_workload_factory(), a);
-  run_experiment(spec, paper_workload_factory(), b);
+  run_experiment(spec, paper_workload_factory(), &a);
+  run_experiment(spec, paper_workload_factory(), &b);
   for (std::uint32_t t = 0; t < 40; ++t) {
     EXPECT_DOUBLE_EQ(a.series().mean(t), b.series().mean(t));
     EXPECT_DOUBLE_EQ(a.series().max(t), b.series().max(t));
@@ -54,10 +57,10 @@ TEST(Experiment, DifferentSeedsProduceDifferentRuns) {
   spec.runs = 2;
   spec.seed = 1;
   LoadSeriesRecorder a(40);
-  run_experiment(spec, paper_workload_factory(), a);
+  run_experiment(spec, paper_workload_factory(), &a);
   spec.seed = 2;
   LoadSeriesRecorder b(40);
-  run_experiment(spec, paper_workload_factory(), b);
+  run_experiment(spec, paper_workload_factory(), &b);
   bool any_diff = false;
   for (std::uint32_t t = 0; t < 40 && !any_diff; ++t)
     any_diff = a.series().mean(t) != b.series().mean(t);
@@ -75,82 +78,19 @@ TEST(Experiment, CustomFactoryIsUsed) {
       [](std::uint32_t n, std::uint32_t horizon, Rng&) {
         return Workload::one_producer(n, horizon);
       },
-      recorder);
+      &recorder);
   // One producer at probability 1: total load at the last step is exactly
   // the horizon, so the mean across 4 processors is horizon / 4.
   EXPECT_DOUBLE_EQ(recorder.series().mean(19), 20.0 / 4.0);
 }
 
-TEST(Experiment, ParallelMatchesSequentialStatistics) {
-  ExperimentSpec spec;
-  spec.processors = 8;
-  spec.horizon = 60;
-  spec.runs = 12;
-  spec.seed = 99;
-
-  LoadSeriesRecorder sequential(60);
-  run_experiment(spec, paper_workload_factory(), sequential);
-
-  LoadSeriesRecorder parallel(60);
-  run_experiment_parallel(
-      spec, paper_workload_factory(), parallel, /*threads=*/3,
-      [] { return LoadSeriesRecorder(60); });
-
-  for (std::uint32_t t = 0; t < 60; ++t) {
-    EXPECT_EQ(parallel.series().at(t).count(),
-              sequential.series().at(t).count());
-    // min/max are order-independent; means agree up to merge rounding.
-    EXPECT_DOUBLE_EQ(parallel.series().min(t), sequential.series().min(t));
-    EXPECT_DOUBLE_EQ(parallel.series().max(t), sequential.series().max(t));
-    EXPECT_NEAR(parallel.series().mean(t), sequential.series().mean(t),
-                1e-9);
-    EXPECT_NEAR(parallel.series().stddev(t), sequential.series().stddev(t),
-                1e-9);
-  }
-}
-
-TEST(Experiment, ParallelBorrowCountersMatchSequential) {
-  ExperimentSpec spec;
-  spec.processors = 8;
-  spec.horizon = 80;
-  spec.runs = 10;
-  spec.seed = 5;
-  spec.config.borrow_cap = 2;
-
-  BorrowCounterRecorder sequential;
-  run_experiment(spec, paper_workload_factory(), sequential);
-
-  BorrowCounterRecorder parallel;
-  run_experiment_parallel(spec, paper_workload_factory(), parallel, 4,
-                          [] { return BorrowCounterRecorder(); });
-
-  EXPECT_EQ(parallel.runs(), sequential.runs());
-  EXPECT_EQ(parallel.totals().total_borrow,
-            sequential.totals().total_borrow);
-  EXPECT_EQ(parallel.totals().remote_borrow,
-            sequential.totals().remote_borrow);
-  EXPECT_EQ(parallel.totals().borrow_fail, sequential.totals().borrow_fail);
-  EXPECT_EQ(parallel.totals().decrease_sim,
-            sequential.totals().decrease_sim);
-}
-
-TEST(Experiment, ParallelWithMoreThreadsThanRuns) {
-  ExperimentSpec spec;
-  spec.processors = 4;
-  spec.horizon = 20;
-  spec.runs = 2;
-  ActivityRecorder result;
-  run_experiment_parallel(spec, paper_workload_factory(), result, 8,
-                          [] { return ActivityRecorder(); });
-  EXPECT_GT(result.total_operations(), 0u);
-}
-
 TEST(Experiment, ZeroRunsRejected) {
   ExperimentSpec spec;
   spec.runs = 0;
-  BorrowCounterRecorder recorder;
-  EXPECT_THROW(run_experiment(spec, paper_workload_factory(), recorder),
-               contract_error);
+  obs::MetricsRegistry registry;
+  EXPECT_THROW(
+      run_experiment(spec, paper_workload_factory(), nullptr, &registry),
+      contract_error);
 }
 
 }  // namespace

@@ -59,7 +59,7 @@ TEST(TheoryVsSim, Theorem4BoundHoldsOnPaperWorkload) {
   spec.config.borrow_cap = 4;
 
   SnapshotRecorder recorder(spec.processors, {100, 250, 399});
-  run_experiment(spec, paper_workload_factory(), recorder);
+  run_experiment(spec, paper_workload_factory(), &recorder);
 
   const double factor =
       theorem4_factor(spec.config.delta, spec.config.f);
@@ -89,7 +89,7 @@ TEST(TheoryVsSim, TighterDeltaImprovesBalance) {
     spec.config.f = 1.4;
     spec.config.delta = delta;
     SnapshotRecorder recorder(spec.processors, {299});
-    run_experiment(spec, paper_workload_factory(), recorder);
+    run_experiment(spec, paper_workload_factory(), &recorder);
     double max_mean = 0.0;
     double min_mean = 1e18;
     for (std::uint32_t p = 0; p < spec.processors; ++p) {
@@ -144,7 +144,7 @@ TEST(TheoryVsSim, VariationOfFullSystemIsSmall) {
   spec.config.f = 1.1;
   spec.config.delta = 4;
   SnapshotRecorder recorder(spec.processors, {299});
-  run_experiment(spec, paper_workload_factory(), recorder);
+  run_experiment(spec, paper_workload_factory(), &recorder);
   for (std::uint32_t p = 0; p < spec.processors; ++p) {
     EXPECT_LT(recorder.at(0, p).variation_density(), 1.0) << "proc " << p;
   }

@@ -1,8 +1,7 @@
 // Unit tests for the observability layer (src/obs) plus its wiring into
 // the step engines: metrics instruments against brute-force oracles,
 // trace buffer semantics, scoped timers, and the per-subsystem
-// instrumentation (System, ThreadedSystem, mp::World, the
-// MetricsRecorder bridge).
+// instrumentation (System, ThreadedSystem, mp::World).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +12,6 @@
 #include <vector>
 
 #include "core/system.hpp"
-#include "metrics/obs_bridge.hpp"
 #include "mp/communicator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
@@ -354,27 +352,6 @@ TEST(Stopwatch, MeasuresElapsedTimeMonotonically) {
   const std::uint64_t b = watch.elapsed_ns();
   EXPECT_GE(b, a);
   EXPECT_GE(watch.elapsed_us(), 0.0);
-}
-
-// ---- MetricsRecorder bridge -------------------------------------------
-
-TEST(MetricsRecorderBridge, ForwardsEveryHookIntoCounters) {
-  obs::MetricsRegistry reg;
-  MetricsRecorder rec(reg);
-  rec.on_balance_op(0, 2, 9);
-  rec.on_balance_op(1, 1, 1);
-  rec.on_migration(0, 1, 4);
-  rec.on_borrow_event(BorrowEvent::TotalBorrow);
-  rec.on_borrow_event(BorrowEvent::RemoteBorrow);
-  rec.on_borrow_event(BorrowEvent::BorrowFail);
-  rec.on_borrow_event(BorrowEvent::DecreaseSim);
-  EXPECT_EQ(reg.counter("recorder.balance_ops").value(), 2u);
-  EXPECT_EQ(reg.counter("recorder.packets_moved").value(), 10u);
-  EXPECT_EQ(reg.counter("recorder.migrations").value(), 4u);
-  EXPECT_EQ(reg.counter("recorder.borrow.total").value(), 1u);
-  EXPECT_EQ(reg.counter("recorder.borrow.remote").value(), 1u);
-  EXPECT_EQ(reg.counter("recorder.borrow.fail").value(), 1u);
-  EXPECT_EQ(reg.counter("recorder.borrow.decrease_sim").value(), 1u);
 }
 
 // ---- System wiring ----------------------------------------------------
