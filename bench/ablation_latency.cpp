@@ -36,14 +36,14 @@ int main(int argc, char** argv) {
       "quality degrades gracefully with hop latency; low diameter helps");
 
   TextTable table({"topology", "hop latency", "final CoV", "balance ops",
-                   "aborted", "refusals", "deferred demand"});
+                   "refused txns", "refusals", "deferred demand"});
   const Topology topologies[] = {Topology::torus2d(8, 8),
                                  Topology::hypercube(6)};
   for (const Topology& topo : topologies) {
     for (double latency : {0.0, 0.1, 0.5, 2.0, 8.0}) {
       RunningMoments cov;
       RunningMoments ops;
-      RunningMoments aborted;
+      RunningMoments refused_txns;
       RunningMoments refusals;
       RunningMoments deferred;
       for (std::uint32_t r = 0; r < runs; ++r) {
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
         sys.run(trace);
         cov.add(measure_imbalance(sys.loads()).cov);
         ops.add(static_cast<double>(sys.stats().balance_ops));
-        aborted.add(static_cast<double>(sys.stats().aborted_ops));
+        refused_txns.add(static_cast<double>(sys.stats().refused_txns));
         refusals.add(static_cast<double>(sys.stats().refusals));
         deferred.add(static_cast<double>(sys.stats().deferred_events));
       }
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
           .cell(latency, 1)
           .cell(cov.mean(), 3)
           .cell(ops.mean(), 0)
-          .cell(aborted.mean(), 0)
+          .cell(refused_txns.mean(), 0)
           .cell(refusals.mean(), 0)
           .cell(deferred.mean(), 0);
     }

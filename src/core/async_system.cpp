@@ -95,7 +95,7 @@ void AsyncSystem::run(const Trace& trace) {
     DLB_ENSURE(proc.idle(), "transaction still open after drain");
     const TxnCounters& c = proc.counters();
     stats_.balance_ops += c.balance_ops;
-    stats_.aborted_ops += c.refused_txns;
+    stats_.refused_txns += c.refused_txns;
     stats_.refusals += c.refusals;
     stats_.messages += c.messages;
     stats_.packets_moved += c.packets_moved;

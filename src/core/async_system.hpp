@@ -44,7 +44,7 @@ struct AsyncConfig {
 
 struct AsyncStats {
   std::uint64_t balance_ops = 0;     // completed transactions
-  std::uint64_t aborted_ops = 0;     // all partners refused
+  std::uint64_t refused_txns = 0;    // initiations every partner refused
   std::uint64_t refusals = 0;
   std::uint64_t messages = 0;
   std::uint64_t packets_moved = 0;

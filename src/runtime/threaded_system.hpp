@@ -62,7 +62,7 @@ struct ThreadedStats {
   std::uint64_t generated = 0;
   std::uint64_t consumed = 0;
   // Robustness counters (all zero in fault-free runs).
-  std::uint64_t aborted_ops = 0;   // partner rollbacks (missing Assign)
+  std::uint64_t rollbacks = 0;     // partner rollbacks (missing Assign)
   std::uint64_t timeouts = 0;      // expired transaction waits
   std::uint64_t lost_packets = 0;  // dropped + discarded-stale messages
   std::uint32_t ranks_dead = 0;    // processors killed by the schedule

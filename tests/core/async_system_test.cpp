@@ -95,7 +95,7 @@ TEST(AsyncSystem, ZeroLatencyTransactionsNeverOverlap) {
   sys.run(trace);
   EXPECT_GT(sys.stats().balance_ops, 0u);
   EXPECT_EQ(sys.stats().refusals, 0u);
-  EXPECT_EQ(sys.stats().aborted_ops, 0u);
+  EXPECT_EQ(sys.stats().refused_txns, 0u);
   EXPECT_EQ(sys.stats().deferred_events, 0u);
 }
 
