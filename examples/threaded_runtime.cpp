@@ -1,7 +1,7 @@
-// The balancer as a real concurrent system: one thread per processor,
-// mailbox message passing, three-message balancing transactions — the
-// shape a distributed-memory implementation has, compressed onto one
-// machine.
+// The balancer as a real concurrent system: one thread per processor
+// (a rank of the src/mp World), message passing over its Comm,
+// three-message balancing transactions — the shape a distributed-memory
+// implementation has, compressed onto one machine.
 //
 //   $ ./build/examples/threaded_runtime
 //

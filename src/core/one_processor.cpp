@@ -1,6 +1,7 @@
 #include "core/one_processor.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "support/check.hpp"
 
@@ -15,17 +16,14 @@ OneProcessorModel::OneProcessorModel(const Params& params, std::uint64_t seed)
 }
 
 std::uint64_t OneProcessorModel::grow_round() {
-  std::uint64_t generated = 0;
-  // repeat { l_new += 1 } until l_new >= f * l_old, then balance (Fig. 1).
-  while (true) {
-    loads_[0] += 1;
-    ++generated;
-    const bool trigger =
-        loads_[0] > l_old_ &&
-        static_cast<double>(loads_[0]) >=
-            params_.f * static_cast<double>(l_old_);
-    if (trigger) break;
-  }
+  // repeat { l_new += 1 } until l_new > l_old and l_new >= f * l_old,
+  // then balance (Fig. 1).  The repeat draws no random numbers, so the
+  // load jumps straight to the first value that fires the trigger.
+  const std::int64_t before = loads_[0];
+  const auto f_l_old = static_cast<std::int64_t>(
+      std::ceil(params_.f * static_cast<double>(l_old_)));
+  loads_[0] = std::max({before + 1, l_old_ + 1, f_l_old});
+  const auto generated = static_cast<std::uint64_t>(loads_[0] - before);
   balance();
   return generated;
 }

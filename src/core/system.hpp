@@ -341,7 +341,9 @@ class System {
     // Table 1's four borrow-protocol counts.
     obs::Counter* borrow_total = nullptr;   // packets consumed on credit
     obs::Counter* borrow_remote = nullptr;  // remote exchanges [D4]
-    obs::Counter* borrow_fail = nullptr;    // [D5] empty-generator resolutions
+    // [D5] entries into the empty-generator resolution, whatever their
+    // ending: those that end in a remote exchange also count above.
+    obs::Counter* borrow_fail = nullptr;
     obs::Counter* decrease_sim = nullptr;   // simulated load decreases
     obs::Counter* settlements = nullptr;
     obs::Gauge* active_procs = nullptr;

@@ -41,7 +41,7 @@
 //
 // The drivers own everything else: time, transport, partner draws,
 // threads, fault injection, journaling and observability (AsyncSystem:
-// a virtual clock; ThreadedSystem: threads plus mailboxes).
+// a virtual clock; ThreadedSystem: the ranks of an mp::World).
 #pragma once
 
 #include <cstdint>

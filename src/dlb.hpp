@@ -34,7 +34,7 @@
 #include "net/cost_model.hpp"       // message/migration cost accounting
 #include "net/topology.hpp"         // interconnection networks
 #include "mp/communicator.hpp"      // mini message-passing interface
-#include "runtime/threaded_system.hpp"  // actor/mailbox concurrent runtime
+#include "runtime/threaded_system.hpp"  // threaded runtime on mp::World
 #include "support/cli.hpp"          // bench option parsing
 #include "support/rng.hpp"          // xoshiro256** deterministic PRNG
 #include "support/stats.hpp"        // Welford moments, series aggregation

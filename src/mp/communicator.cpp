@@ -33,9 +33,15 @@ std::optional<MpMessage> Comm::try_recv(int source, int tag) {
 
 std::optional<MpMessage> Comm::recv_for(int source, int tag,
                                         std::chrono::milliseconds timeout) {
-  return transport_->recv_until(source, tag,
-                                std::chrono::steady_clock::now() + timeout);
+  return recv_until(source, tag, std::chrono::steady_clock::now() + timeout);
 }
+
+std::optional<MpMessage> Comm::recv_until(
+    int source, int tag, std::chrono::steady_clock::time_point deadline) {
+  return transport_->recv_until(source, tag, deadline);
+}
+
+void Comm::flush() { transport_->flush(); }
 
 void Comm::barrier() {
   world_->gather_all_into(rank_, 0, gather_scratch_);
@@ -117,8 +123,14 @@ bool Comm::rank_alive(int rank) const {
 World::World(int size) : size_(size) {
   DLB_REQUIRE(size >= 1, "world needs at least one rank");
   mailboxes_.reserve(static_cast<std::size_t>(size));
-  for (int r = 0; r < size; ++r)
+  for (int r = 0; r < size; ++r) {
     mailboxes_.push_back(std::make_unique<Mailbox>());
+    // Warm each ring past the in-flight depth of a protocol that keeps
+    // a few messages per peer on the wire (ThreadedSystem: an Invite,
+    // an Assign, a reply and the end-of-run Done), so steady traffic
+    // never grows it mid-run.
+    mailboxes_.back()->messages.reserve(4 * static_cast<std::size_t>(size));
+  }
   collective_.slots.assign(static_cast<std::size_t>(size), 0);
   collective_.alive_snapshot.assign(static_cast<std::size_t>(size), 1);
   statuses_ =
@@ -164,6 +176,7 @@ void World::arm_launch() {
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     stats_ = FaultStats{};
+    discarded_.clear();
   }
 }
 
@@ -184,7 +197,7 @@ void World::launch(const std::function<void(Comm&)>& body) {
         faulty.emplace(local, plan_,
                        FaultSink{&stats_mutex_, &stats_, wm_.dropped,
                                  wm_.duplicated, wm_.delayed,
-                                 wm_.sends_to_dead});
+                                 wm_.sends_to_dead, &discarded_});
       Transport& transport =
           faulty ? static_cast<Transport&>(*faulty) : local;
       Comm comm(*this, r, transport);
@@ -193,11 +206,12 @@ void World::launch(const std::function<void(Comm&)>& body) {
         // Normal completion: release any delayed in-flight messages
         // (fault-free semantics must not lose traffic), then announce
         // termination so peers error out instead of waiting forever.
-        if (faulty) faulty->flush();
+        transport.flush();
         mark_terminated(r);
       } catch (const RankCrashed&) {
         // Scheduled death, already marked dead in tick(); in-flight
-        // (held) packets strand with the crash.
+        // (held) packets strand with the crash, reported as discarded.
+        if (faulty) faulty->discard_held();
       } catch (...) {
         {
           std::lock_guard<std::mutex> lock(error_mutex);

@@ -20,12 +20,15 @@
 //   - Comm::tick() advances the rank's step clock and throws RankCrashed
 //     at the scheduled step; World::launch absorbs the throw and marks
 //     the rank dead (not an error).
-//   - recv_for() is the deadline-based receive for protocols that must
-//     survive a silent partner.
+//   - recv_for() / recv_until() are the deadline-based receives for
+//     protocols that must survive a silent partner.
 //   - *_checked collectives complete without dead ranks and report a
 //     `degraded` flag plus a per-rank alive mask instead of hanging.
 //   - Comm::journal() feeds the crash-recovery LoadJournal so a dead
 //     rank's load is recovered from its last checkpoint boundary.
+//   - World::discarded() lists the application messages the injector
+//     did not deliver, so a protocol can declare the load they carried
+//     lost.
 // Without a plan (or with an inert one) every path is byte-identical to
 // the fault-free implementation.
 //
@@ -118,6 +121,13 @@ class Comm {
   /// when the source is dead/terminated with nothing matching queued.
   std::optional<MpMessage> recv_for(int source, int tag,
                                     std::chrono::milliseconds timeout);
+  /// Same, against a monotonic deadline (one budget over many calls).
+  std::optional<MpMessage> recv_until(
+      int source, int tag, std::chrono::steady_clock::time_point deadline);
+
+  /// Releases the messages the fault decorator holds back (delayed
+  /// ones); launch() does this when the body returns.
+  void flush();
 
   /// Collective: all live ranks must call; returns when everyone arrived.
   void barrier();
@@ -209,6 +219,9 @@ class World {
   FaultStats fault_stats() const;
   /// Crash journal of the most recent launch() (valid after it returns).
   const LoadJournal& journal() const { return journal_; }
+  /// Application messages the fault decorator did not deliver in the
+  /// most recent launch(), each once (FaultSink::discarded).
+  const std::vector<MpMessage>& discarded() const { return discarded_; }
   /// True when `rank` crashed during the most recent launch().
   bool rank_dead(int rank) const;
 
@@ -266,9 +279,11 @@ class World {
   std::unique_ptr<std::atomic<std::uint8_t>[]> statuses_;
   LoadJournal journal_;
 
-  // Counters; guarded by stats_mutex_ (fault paths only, never hot).
+  // Counters and the discard report; guarded by stats_mutex_ (fault
+  // paths only, never hot).
   mutable std::mutex stats_mutex_;
   FaultStats stats_;
+  std::vector<MpMessage> discarded_;
 
   // Cached instrument handles (valid iff metrics_ != null).  Per-link
   // cells are row-major by source, like links_.

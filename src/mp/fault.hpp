@@ -29,9 +29,10 @@
 // it sends nothing, answers nothing, and collectives complete without
 // it (degraded) instead of hanging.
 //
-// (*) The injector does tell the *accounting* about dropped payloads —
-// this is simulation, not espionage: conservation checks need to know
-// the declared loss, the protocol under test must not peek.
+// (*) The injector does tell the *accounting* about every payload it
+// does not deliver (mp/fault_transport.hpp) — this is simulation, not
+// espionage: conservation checks need to know the declared loss, the
+// protocol under test must not peek.
 #pragma once
 
 #include <cstdint>

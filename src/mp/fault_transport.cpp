@@ -28,12 +28,14 @@ void FaultyTransport::send(int dest, int tag, const std::int64_t* words,
     // The wire to a dead rank leads nowhere; count it so protocols'
     // accounting can reconcile.  No dice roll is consumed.
     count_fault(&FaultStats::sends_to_dead, sink_.sends_to_dead);
+    discard(tag, words, count);
     return;
   }
   Link& link = links_[static_cast<std::size_t>(dest)];
   const FaultDecision decision = link.faults.next();
   if (decision.drop) {
     count_fault(&FaultStats::messages_dropped, sink_.dropped);
+    discard(tag, words, count);
     return;
   }
   // A message marked `delay` is stashed and released just after the next
@@ -61,12 +63,34 @@ void FaultyTransport::send(int dest, int tag, const std::int64_t* words,
                 release->payload.size());
 }
 
+void FaultyTransport::discard(int tag, const std::int64_t* words,
+                              std::size_t count) {
+  if (sink_.discarded == nullptr) return;
+  MpMessage msg;
+  msg.source = inner_.rank();
+  msg.tag = tag;
+  msg.payload.assign(words, count, nullptr);
+  std::lock_guard<std::mutex> lock(*sink_.mutex);
+  sink_.discarded->push_back(std::move(msg));
+}
+
 void FaultyTransport::flush() {
   for (int d = 0; d < inner_.size(); ++d) {
-    Link& link = links_[static_cast<std::size_t>(d)];
-    if (link.held && !inner_.peer_dead(d))
-      inner_.send(d, link.held->tag, link.held->payload.data(),
-                  link.held->payload.size());
+    std::optional<HeldMessage>& held = links_[static_cast<std::size_t>(d)].held;
+    if (!held) continue;
+    if (inner_.peer_dead(d))
+      discard(held->tag, held->payload.data(), held->payload.size());
+    else
+      inner_.send(d, held->tag, held->payload.data(), held->payload.size());
+    held.reset();
+  }
+}
+
+void FaultyTransport::discard_held() {
+  for (Link& link : links_) {
+    if (link.held)
+      discard(link.held->tag, link.held->payload.data(),
+              link.held->payload.size());
     link.held.reset();
   }
 }

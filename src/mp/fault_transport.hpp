@@ -18,6 +18,11 @@
 //     flush() releases stragglers at clean termination, a crash
 //     strands them,
 //   - duplicate: delivered twice.
+// Every application message the decorator does not deliver -- dropped,
+// sent to a dead peer, still held when its destination died, or still
+// held when its own sender crashed -- is reported once, with its
+// payload, to the sink's `discarded` list, so a protocol driver can
+// declare the load it carried lost.
 //
 // Tags at or above Transport::kReservedTagFloor bypass the dice: the
 // control plane (collective rounds, handshakes) is modelled as
@@ -37,7 +42,8 @@
 namespace dlb {
 
 /// Shared fault accounting: counter cells are optional (null = detached
-/// metrics); `stats` guarded by `mutex` (never hot — fault paths only).
+/// metrics); `stats` and `discarded` guarded by `mutex` (never hot —
+/// fault paths only).
 struct FaultSink {
   std::mutex* mutex = nullptr;
   FaultStats* stats = nullptr;
@@ -45,6 +51,9 @@ struct FaultSink {
   obs::Counter* duplicated = nullptr;
   obs::Counter* delayed = nullptr;
   obs::Counter* sends_to_dead = nullptr;
+  /// Receives each undelivered application message (source = this
+  /// endpoint).  Null: not collected.
+  std::vector<MpMessage>* discarded = nullptr;
 };
 
 class FaultyTransport : public Transport {
@@ -74,9 +83,12 @@ class FaultyTransport : public Transport {
     return inner_.peer_state(rank);
   }
 
-  /// Releases every held (delayed) message to its non-dead destination.
-  /// Called on clean termination; a crash skips it (stranded traffic).
-  void flush();
+  /// Releases every held (delayed) message to its non-dead destination
+  /// and discards the rest.  Called on clean termination.
+  void flush() override;
+
+  /// Discards every held message: the sender crashed, so they strand.
+  void discard_held();
 
   /// flush() then close the inner transport.
   void close() override;
@@ -92,6 +104,7 @@ class FaultyTransport : public Transport {
   };
 
   void count_fault(std::uint64_t FaultStats::*counter, obs::Counter* cell);
+  void discard(int tag, const std::int64_t* words, std::size_t count);
 
   Transport& inner_;
   FaultSink sink_;

@@ -171,7 +171,7 @@ int child_rank(int rank, const Trace& trace, const SocketRunOptions& opts,
   if (opts.plan.enabled())
     faulty.emplace(socket, opts.plan,
                    FaultSink{&stats_mutex, &stats, nullptr, nullptr, nullptr,
-                             nullptr});
+                             nullptr, nullptr});
   Transport& transport =
       faulty ? static_cast<Transport&>(*faulty) : socket;
 

@@ -86,6 +86,11 @@ class Transport {
   /// Non-blocking probe-and-receive.
   virtual std::optional<MpMessage> try_recv(int source, int tag) = 0;
 
+  /// Releases every message this endpoint holds back (the fault
+  /// decorator's delayed ones).  Backends that hold nothing back keep
+  /// this no-op.
+  virtual void flush() {}
+
   /// This endpoint's current belief about `rank` (its own rank reports
   /// Alive until it terminates).
   virtual PeerState peer_state(int rank) const = 0;

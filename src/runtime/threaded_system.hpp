@@ -4,41 +4,40 @@
 // The sequential System is the measurement instrument for the paper's
 // figures; ThreadedSystem demonstrates that the same algorithmic principle
 // runs as a real concurrent system: one thread per processor, no shared
-// load state, all coordination via mailboxes — the structure a
+// load state, all coordination by messages — the structure a
 // distributed-memory implementation ([7]'s transputer networks) would
-// have, compressed onto one machine.  Each thread drives its processor's
-// TxnEndpoint and blocks inside a transaction until the endpoint is Idle
-// again, so application demand never reaches a busy endpoint.
+// have, compressed onto one machine.  It runs on an mp::World it owns:
+// each processor is one World::launch body that drives its TxnEndpoint
+// over Comm (LocalTransport), and blocks inside a transaction until the
+// endpoint is Idle again, so application demand never reaches a busy
+// endpoint.
 //
-// Failure tolerance (config.faults, a mp/fault.hpp FaultPlan): with a
-// fault plan installed the driver rolls per-link drop/duplicate/delay
-// dice on every message, and every wait inside a transaction gets a
-// deadline whose expiry is the endpoint's timeout.  A dropped Assign's
-// delta is declared lost at the drop point, so total load is conserved
-// modulo the declared-lost ledger:
+// Failure tolerance (config.faults, a mp/fault.hpp FaultPlan installed
+// on the World): the FaultyTransport decorator drops, duplicates and
+// delays messages, Comm::tick() kills processors on the crash schedule,
+// and every wait inside a transaction gets a deadline whose expiry is
+// the endpoint's timeout.  Every transaction message the decorator does
+// not deliver is reported back (World::discarded()), and a lost
+// Assign's delta is declared lost, so total load is conserved modulo
+// the declared-lost ledger:
 //   sum(final) == generated - consumed - lost_load
 // A processor killed by the crash schedule stops at a step boundary; its
-// load is recovered from its last journal checkpoint (the drift is
+// load is recovered from its last World journal checkpoint (the drift is
 // declared lost), survivors blacklist it from future partner draws
 // (redrawing uniformly over the live processors), and invites addressed
-// to it simply time out.  Without a plan the waits block and nothing is
-// journaled.
+// to it simply time out.  Without a plan the transaction waits block.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <thread>
 #include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/txn.hpp"
+#include "mp/communicator.hpp"
 #include "mp/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/mailbox.hpp"
-#include "support/rng.hpp"
 #include "workload/trace.hpp"
 
 namespace dlb {
@@ -50,7 +49,8 @@ struct ThreadedConfig {
   /// Fault schedule; an inert plan (the default) disables every fault
   /// path and reproduces the historical behaviour exactly.
   FaultPlan faults;
-  /// Deadline for each in-transaction wait when faults are enabled.
+  /// Deadline for each in-transaction wait when faults are enabled (and
+  /// the re-check period of the end-of-run waits).
   std::chrono::milliseconds txn_timeout{25};
 };
 
@@ -64,7 +64,7 @@ struct ThreadedStats {
   // Robustness counters (all zero in fault-free runs).
   std::uint64_t rollbacks = 0;     // partner rollbacks (missing Assign)
   std::uint64_t timeouts = 0;      // expired transaction waits
-  std::uint64_t lost_packets = 0;  // dropped + discarded-stale messages
+  std::uint64_t lost_packets = 0;  // undelivered + stray-Assign messages
   std::uint32_t ranks_dead = 0;    // processors killed by the schedule
   /// Net load in dropped/discarded Assigns plus crash drift (signed:
   /// losing a negative delta *adds* load).  Conservation holds as
@@ -80,8 +80,9 @@ class ThreadedSystem {
   ThreadedSystem(const ThreadedSystem&) = delete;
   ThreadedSystem& operator=(const ThreadedSystem&) = delete;
 
-  /// Replays the trace concurrently (one thread per processor) and blocks
-  /// until every thread has finished and all transactions have drained.
+  /// Replays the trace concurrently (one World rank per processor) and
+  /// blocks until every rank has finished and all transactions have
+  /// drained.
   void run(const Trace& trace);
 
   /// Operational metrics: run() publishes the aggregated ThreadedStats
@@ -102,25 +103,16 @@ class ThreadedSystem {
   /// Aggregated statistics over all processor threads.
   const ThreadedStats& stats() const { return stats_; }
   /// Crash journal of the last run (valid after run()).
-  const LoadJournal& journal() const { return journal_; }
+  const LoadJournal& journal() const { return world_.journal(); }
   /// True when processor `p` was killed during the last run.
   bool processor_dead(std::uint32_t p) const;
 
  private:
-  // A transaction message, or the end-of-run Shutdown.
-  struct Message : TxnMsg {
-    bool shutdown = false;
-  };
-
   class Worker;
 
   std::uint32_t processors_;
   ThreadedConfig config_;
-  bool faults_on_ = false;
-  std::vector<std::unique_ptr<Mailbox<Message>>> mailboxes_;
-  std::atomic<std::uint32_t> done_count_{0};
-  std::unique_ptr<std::atomic<std::uint8_t>[]> dead_;
-  LoadJournal journal_;
+  World world_;
   std::vector<std::int64_t> final_loads_;
   ThreadedStats stats_;
   obs::MetricsRegistry* metrics_ = nullptr;

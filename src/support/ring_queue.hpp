@@ -1,9 +1,9 @@
 // Growable single-threaded ring queue: deque semantics, vector storage.
 //
-// The mailbox queues (runtime/mailbox.hpp, mp::World::Mailbox, the async
-// engine's per-shard FIFOs) oscillate between empty and a small bounded
-// depth in steady state.  std::deque keeps at least one heap chunk alive
-// per queue and allocates fresh ones when its internal map grows;
+// The mailbox queues (mp::World::Mailbox, the async engine's per-shard
+// FIFOs) oscillate between empty and a small bounded depth in steady
+// state.  std::deque keeps at least one heap chunk alive per queue and
+// allocates fresh ones when its internal map grows;
 // RingQueue instead keeps a single power-of-two buffer that is reused
 // forever — after the queue has once reached its high-water depth, no
 // push or pop ever touches the allocator again, which is the property

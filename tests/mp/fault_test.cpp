@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "mp/communicator.hpp"
@@ -137,6 +139,71 @@ TEST(FaultInjection, DelayedMessagesStillArriveInOrderPerLink) {
   });
   EXPECT_EQ(world.fault_stats().messages_delayed, 5u);
   EXPECT_EQ(world.fault_stats().messages_dropped, 0u);
+}
+
+// The decorator's discard report: every application message it does not
+// deliver appears in World::discarded() exactly once, with its payload.
+// The four ways: dropped, sent to a dead rank, still held when the
+// destination died, still held when the sender crashed.  Control-plane
+// traffic is never diced, so it never appears.
+TEST(FaultInjection, DiscardReportListsEveryUndeliveredMessageOnce) {
+  constexpr int kTag = 5;
+  constexpr int kControl = Transport::kReservedTagFloor;
+  const auto reported = [&](const World& world) {
+    std::vector<std::pair<int, std::int64_t>> out;  // (source, word)
+    for (const MpMessage& msg : world.discarded()) {
+      EXPECT_EQ(msg.tag, kTag);
+      EXPECT_EQ(msg.payload.size(), 1u);
+      out.emplace_back(msg.source, msg.payload[0]);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+
+  World world(3);
+  FaultPlan drop_all;
+  drop_all.default_link.drop = 1.0;
+  world.set_fault_plan(drop_all);
+  world.launch([](Comm& comm) {
+    if (comm.rank() == 0) {
+      comm.send(1, kTag, {11});
+      comm.send(2, kTag, {12});
+      comm.send(1, kControl, {99});
+    } else if (comm.rank() == 1) {
+      EXPECT_EQ(comm.recv(0, kControl).payload[0], 99);
+    }
+  });
+  EXPECT_EQ(reported(world),
+            (std::vector<std::pair<int, std::int64_t>>{{0, 11}, {0, 12}}));
+  EXPECT_EQ(world.fault_stats().messages_dropped, 2u);
+
+  // delay = 1 holds every message until the next one on its link.
+  FaultPlan hold_all;
+  hold_all.default_link.delay = 1.0;
+  hold_all.kill(2, 1);
+  world.set_fault_plan(hold_all);
+  world.launch([](Comm& comm) {
+    comm.tick();
+    if (comm.rank() == 0) comm.send(2, kTag, {21});  // held; 2 then dies
+    if (comm.rank() == 2) comm.send(1, kTag, {31});  // held; sender dies
+    if (comm.rank() == 1) {
+      comm.send(0, kTag, {41});  // released by the next send
+      comm.send(0, kTag, {42});  // released by the termination flush
+      comm.send(0, kControl, {98});
+    }
+    comm.barrier_checked();
+    comm.tick();  // rank 2 dies entering step 1
+    EXPECT_TRUE(comm.barrier_checked());
+    if (comm.rank() == 0) {
+      comm.send(2, kTag, {22});  // to a dead rank
+      EXPECT_EQ(comm.recv(1, kTag).payload[0], 41);
+      EXPECT_EQ(comm.recv(1, kControl).payload[0], 98);
+    }
+  });
+  EXPECT_TRUE(world.rank_dead(2));
+  EXPECT_EQ(reported(world), (std::vector<std::pair<int, std::int64_t>>{
+                                 {0, 21}, {0, 22}, {2, 31}}));
+  EXPECT_EQ(world.fault_stats().sends_to_dead, 1u);
 }
 
 TEST(FaultInjection, ScheduledCrashDegradesCollectives) {
