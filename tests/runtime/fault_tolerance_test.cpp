@@ -167,9 +167,8 @@ TEST(FaultTolerantRuntime, RejectsInvalidCrashRanks) {
 
 TEST(FaultTolerantRuntime, RunIsRepeatableAfterFaults) {
   // The same system object must be reusable: dead flags, journal and
-  // counters re-arm per run, and messages still queued when a run ends
-  // (sent to a worker after it read its Shutdown) are settled in that
-  // run instead of reaching the next run's fresh endpoints.
+  // counters re-arm per run, and no message of one run (a late Accept,
+  // a rollback Assign) reaches the next run's fresh endpoints.
   ThreadedConfig cfg = faulty_cfg(0.10);
   cfg.faults.default_link.duplicate = 0.10;
   cfg.faults.default_link.delay = 0.10;
