@@ -21,8 +21,10 @@
 //     column that is all zero never advances the circulating pointer
 //     (its pool and remainder are zero), so dealing over the nonzero
 //     subset is bit-identical to dealing over all n classes.  Each
-//     column is dealt branch-free: with pool = base * m + r, rows
-//     ptr .. ptr + r - 1 (mod m) get base + 1 and the rest base.
+//     column is dealt in straight-line code: with pool = base * m + r,
+//     the run of rows ptr .. ptr + r - 1 (mod m) gets base + 1 and the
+//     rest base; for the row counts with_row_count fixes, the run is a
+//     rotated bitmask, so no row compares against ptr.
 #pragma once
 
 #include <cstdint>

@@ -272,6 +272,99 @@ TEST(SnakeFlows, ZeroColumnsDoNotAffectDealOrPointer) {
   }
 }
 
+// ---- The +1 rule, exhaustively: every row count, start and residue -----
+//
+// A column deal gives one packet more to the run of rows that follows the
+// circulating pointer.  The column kernel picks that run from (rows, ptr,
+// remainder): by a rotated bitmask for the row counts
+// detail::with_row_count fixes (2..9) and by an offset compare for any
+// other count (1 and 10 here).  For each row count the matrix below is
+// dealt from every start, so every column meets every pointer position;
+// its columns pool to every residue mod rows, as 0/1 marker-like cells
+// and as larger counts.  Cells, continuation pointer and gross moves must
+// match snake_redistribute on the aggregate path, on the pair-flow path
+// and with one excluded row per column.
+
+// One empty column, then for each residue t < rows: t marker-like 1s on
+// rows t, t + 1, ... (mod rows); a pool of rows + t on one row; and a
+// pool of 3 * rows + t spread at random.
+Matrix residue_matrix(std::size_t rows) {
+  Matrix m(rows, std::vector<std::int64_t>(1 + 3 * rows, 0));
+  Rng rng(0x5eed0 + rows);
+  for (std::size_t t = 0; t < rows; ++t) {
+    const std::size_t col = 1 + 3 * t;
+    for (std::size_t i = 0; i < t; ++i) m[(t + i) % rows][col] = 1;
+    m[t][col + 1] = static_cast<std::int64_t>(rows + t);
+    for (std::size_t left = 3 * rows + t; left > 0; --left)
+      m[rng.below(rows)][col + 2] += 1;
+  }
+  return m;
+}
+
+// Deals `before` with the column kernel and with snake_redistribute from
+// `start` and expects the same cells, pointer and gross moves.
+void expect_column_deal_matches_dense(
+    const Matrix& before, std::size_t start,
+    const std::vector<std::size_t>* excluded, bool with_sink) {
+  SCOPED_TRACE(::testing::Message() << "start " << start << ", sink "
+                                    << with_sink);
+  Matrix dense = before;
+  SnakeOptions opts;
+  opts.start = start;
+  opts.excluded_participant_per_class = excluded;
+  const std::size_t dense_ptr = snake_redistribute(dense, opts);
+  const CompactRun run = run_compact(before, start, excluded, with_sink);
+  const std::size_t rows = before.size();
+  std::uint64_t received = 0;
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t j = 0; j < before[r].size(); ++j) {
+      EXPECT_EQ(run.at(rows, r, j), dense[r][j]) << "row " << r << " col "
+                                                  << j;
+      if (dense[r][j] > before[r][j])
+        received += static_cast<std::uint64_t>(dense[r][j] - before[r][j]);
+    }
+  EXPECT_EQ(run.result.ptr, dense_ptr);
+  EXPECT_EQ(run.result.moved, received);
+  if (with_sink) {
+    EXPECT_EQ(run.sink.total, received);
+  }
+}
+
+class SnakeRule : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SnakeRule, ColumnsMatchDenseFromEveryStart) {
+  const std::size_t rows = GetParam();
+  const Matrix before = residue_matrix(rows);
+  for (std::size_t start = 0; start < rows; ++start)
+    for (const bool with_sink : {false, true})
+      expect_column_deal_matches_dense(before, start, nullptr, with_sink);
+}
+
+// Every third column deals over all rows; the others exclude row
+// shift + c (mod rows), so with the start sweep the excluded row sits at
+// every offset from the pointer.
+TEST_P(SnakeRule, ExcludedRowColumnsMatchDenseFromEveryStart) {
+  const std::size_t rows = GetParam();
+  const Matrix before = residue_matrix(rows);
+  const std::size_t cols = before[0].size();
+  for (std::size_t shift = 0; shift < rows; ++shift) {
+    std::vector<std::size_t> excluded(cols);
+    for (std::size_t c = 0; c < cols; ++c)
+      excluded[c] = c % 3 == 2 ? static_cast<std::size_t>(-1)
+                               : (shift + c) % rows;
+    for (std::size_t start = 0; start < rows; ++start)
+      for (const bool with_sink : {false, true})
+        expect_column_deal_matches_dense(before, start, &excluded,
+                                         with_sink);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Rows, SnakeRule,
+                         ::testing::Range<std::size_t>(1, 11),
+                         [](const ::testing::TestParamInfo<std::size_t>& ti) {
+                           return "rows" + std::to_string(ti.param);
+                         });
+
 // ---- Property sweep: random matrices, all sizes ------------------------
 
 struct SnakeCase {
