@@ -79,45 +79,73 @@ Ledger::Ledger(std::uint32_t classes) : classes_(classes) {
 
 std::size_t Ledger::lower_slot(std::uint32_t j) const {
   return static_cast<std::size_t>(
-      std::lower_bound(active_.begin(), active_.end(), j) - active_.begin());
+      std::lower_bound(active_.data(), active_.data() + size_, j) -
+      active_.data());
 }
 
 std::size_t Ledger::slot(std::uint32_t j) const {
-  if (hint_ < active_.size() && active_[hint_] == j) return hint_;
+  if (hint_ < size_ && active_[hint_] == j) return hint_;
   const std::size_t pos = lower_slot(j);
-  if (pos < active_.size() && active_[pos] == j) return pos;
-  return active_.size();
+  if (pos < size_ && active_[pos] == j) return pos;
+  return size_;
 }
 
 std::size_t Ledger::slot(std::uint32_t j) {
   const std::size_t pos = static_cast<const Ledger&>(*this).slot(j);
-  if (pos < active_.size()) hint_ = pos;
+  if (pos < size_) hint_ = pos;
   return pos;
 }
 
 std::int64_t Ledger::d(std::uint32_t j) const {
   const std::size_t pos = slot(j);
-  return pos < active_.size() ? d_counts_[pos] : 0;
+  return pos < size_ ? d_counts_[pos] : 0;
 }
 
 std::int64_t Ledger::b(std::uint32_t j) const {
   const std::size_t pos = slot(j);
-  return pos < active_.size() ? b_counts_[pos] : 0;
+  return pos < size_ ? b_counts_[pos] : 0;
+}
+
+void Ledger::ensure_slots(std::size_t slots) {
+  if (active_.size() >= slots) return;
+  if (active_.capacity() < slots) {
+    const std::size_t cap = std::max(slots, 2 * active_.capacity());
+    active_.reserve(cap);
+    d_counts_.reserve(cap);
+    b_counts_.reserve(cap);
+  }
+  active_.resize(slots);
+  d_counts_.resize(slots);
+  b_counts_.resize(slots);
 }
 
 void Ledger::insert_entry(std::size_t pos, std::uint32_t j,
                           std::int64_t d_val, std::int64_t b_val) {
-  active_.insert(active_.begin() + static_cast<std::ptrdiff_t>(pos), j);
-  d_counts_.insert(d_counts_.begin() + static_cast<std::ptrdiff_t>(pos),
-                   d_val);
-  b_counts_.insert(b_counts_.begin() + static_cast<std::ptrdiff_t>(pos),
-                   b_val);
+  ensure_slots(std::size_t{size_} + 1);
+  const auto at = static_cast<std::ptrdiff_t>(pos);
+  const auto end = static_cast<std::ptrdiff_t>(size_);
+  std::copy_backward(active_.begin() + at, active_.begin() + end,
+                     active_.begin() + end + 1);
+  std::copy_backward(d_counts_.begin() + at, d_counts_.begin() + end,
+                     d_counts_.begin() + end + 1);
+  std::copy_backward(b_counts_.begin() + at, b_counts_.begin() + end,
+                     b_counts_.begin() + end + 1);
+  active_[pos] = j;
+  d_counts_[pos] = d_val;
+  b_counts_[pos] = b_val;
+  ++size_;
 }
 
 void Ledger::erase_entry(std::size_t pos) {
-  active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(pos));
-  d_counts_.erase(d_counts_.begin() + static_cast<std::ptrdiff_t>(pos));
-  b_counts_.erase(b_counts_.begin() + static_cast<std::ptrdiff_t>(pos));
+  const auto at = static_cast<std::ptrdiff_t>(pos);
+  const auto end = static_cast<std::ptrdiff_t>(size_);
+  std::copy(active_.begin() + at + 1, active_.begin() + end,
+            active_.begin() + at);
+  std::copy(d_counts_.begin() + at + 1, d_counts_.begin() + end,
+            d_counts_.begin() + at);
+  std::copy(b_counts_.begin() + at + 1, b_counts_.begin() + end,
+            b_counts_.begin() + at);
+  --size_;
 }
 
 void Ledger::drop_if_zero(std::size_t pos) {
@@ -128,7 +156,7 @@ void Ledger::add_real(std::uint32_t j, std::int64_t count) {
   DLB_REQUIRE(j < classes_, "load class out of range");
   DLB_REQUIRE(count >= 0, "cannot add a negative packet count");
   const std::size_t pos = lower_slot(j);
-  if (pos < active_.size() && active_[pos] == j) {
+  if (pos < size_ && active_[pos] == j) {
     d_counts_[pos] += count;
   } else if (count > 0) {
     insert_entry(pos, j, count, 0);
@@ -140,9 +168,9 @@ void Ledger::remove_real(std::uint32_t j, std::int64_t count) {
   DLB_REQUIRE(j < classes_, "load class out of range");
   DLB_REQUIRE(count >= 0, "cannot remove a negative packet count");
   const std::size_t pos = slot(j);
-  const std::int64_t held = pos < active_.size() ? d_counts_[pos] : 0;
+  const std::int64_t held = pos < size_ ? d_counts_[pos] : 0;
   DLB_REQUIRE(held >= count, "not enough real packets of this class");
-  if (pos < active_.size()) {
+  if (pos < size_) {
     d_counts_[pos] -= count;
     drop_if_zero(pos);
   }
@@ -151,17 +179,17 @@ void Ledger::remove_real(std::uint32_t j, std::int64_t count) {
 
 std::size_t Ledger::nth_marked_slot(std::size_t k) const {
   std::size_t pos = 0;
-  for (; pos < b_counts_.size(); ++pos)
+  for (; pos < size_; ++pos)
     if (b_counts_[pos] != 0 && k-- == 0) break;
-  DLB_REQUIRE(pos < b_counts_.size(), "marked-class index out of range");
+  DLB_REQUIRE(pos < size_, "marked-class index out of range");
   return pos;
 }
 
 std::size_t Ledger::nth_borrowable_slot(std::size_t k) const {
   std::size_t pos = 0;
-  for (; pos < d_counts_.size(); ++pos)
+  for (; pos < size_; ++pos)
     if (d_counts_[pos] > 0 && b_counts_[pos] == 0 && k-- == 0) break;
-  DLB_REQUIRE(pos < d_counts_.size(), "borrowable-class index out of range");
+  DLB_REQUIRE(pos < size_, "borrowable-class index out of range");
   return pos;
 }
 
@@ -171,7 +199,7 @@ std::uint32_t Ledger::nth_marked(std::size_t k) const {
 
 std::size_t Ledger::borrowable() const {
   std::size_t count = 0;
-  for (std::size_t pos = 0; pos < d_counts_.size(); ++pos)
+  for (std::size_t pos = 0; pos < size_; ++pos)
     if (d_counts_[pos] > 0 && b_counts_[pos] == 0) ++count;
   return count;
 }
@@ -195,7 +223,7 @@ void Ledger::repay_at(std::size_t pos) {
 void Ledger::borrow(std::uint32_t j) {
   DLB_REQUIRE(j < classes_, "load class out of range");
   const std::size_t pos = slot(j);
-  DLB_REQUIRE(pos < active_.size() && d_counts_[pos] > 0,
+  DLB_REQUIRE(pos < size_ && d_counts_[pos] > 0,
               "borrow needs a real packet of the class");
   DLB_REQUIRE(b_counts_[pos] == 0, "at most one marker per class (paper, §4)");
   borrow_at(pos);
@@ -210,7 +238,7 @@ std::uint32_t Ledger::borrow_nth(std::size_t k) {
 void Ledger::clear_marker(std::uint32_t j) {
   DLB_REQUIRE(j < classes_, "load class out of range");
   const std::size_t pos = slot(j);
-  DLB_REQUIRE(pos < active_.size() && b_counts_[pos] > 0,
+  DLB_REQUIRE(pos < size_ && b_counts_[pos] > 0,
               "no marker of this class to clear");
   b_counts_[pos] -= 1;
   borrowed_ -= 1;
@@ -220,7 +248,7 @@ void Ledger::clear_marker(std::uint32_t j) {
 void Ledger::repay_with_generation(std::uint32_t j) {
   DLB_REQUIRE(j < classes_, "load class out of range");
   const std::size_t pos = slot(j);
-  DLB_REQUIRE(pos < active_.size() && b_counts_[pos] > 0,
+  DLB_REQUIRE(pos < size_ && b_counts_[pos] > 0,
               "no outstanding debt of this class");
   repay_at(pos);
 }
@@ -235,7 +263,7 @@ void Ledger::set_d(std::uint32_t j, std::int64_t value) {
   DLB_REQUIRE(j < classes_, "load class out of range");
   DLB_REQUIRE(value >= 0, "negative real count");
   const std::size_t pos = lower_slot(j);
-  if (pos < active_.size() && active_[pos] == j) {
+  if (pos < size_ && active_[pos] == j) {
     real_ += value - d_counts_[pos];
     d_counts_[pos] = value;
     drop_if_zero(pos);
@@ -250,7 +278,7 @@ void Ledger::set_b(std::uint32_t j, std::int64_t value) {
   DLB_REQUIRE(value == 0 || value == 1,
               "marker counts are 0 or 1 (paper, §4)");
   const std::size_t pos = lower_slot(j);
-  if (pos < active_.size() && active_[pos] == j) {
+  if (pos < size_ && active_[pos] == j) {
     if (b_counts_[pos] == value) return;
     borrowed_ += value - b_counts_[pos];
     b_counts_[pos] = value;
@@ -277,7 +305,7 @@ void Ledger::apply_dealt(const std::uint32_t* cls, std::size_t k,
   active_merge_.clear();
   d_merge_.clear();
   b_merge_.clear();
-  const std::size_t max_entries = active_.size() + k;
+  const std::size_t max_entries = size_ + k;
   if (active_merge_.capacity() < max_entries) {
     const std::size_t cap =
         std::max(max_entries, 2 * active_merge_.capacity());
@@ -297,7 +325,7 @@ void Ledger::apply_dealt(const std::uint32_t* cls, std::size_t k,
                 "marker counts are 0 or 1 (paper, §4)");
     // Carry over entries for classes below j, then drop j's own (re-added
     // below if it remains active).
-    while (ai < active_.size() && active_[ai] < j) {
+    while (ai < size_ && active_[ai] < j) {
       active_merge_.push_back(active_[ai]);
       d_merge_.push_back(d_counts_[ai]);
       b_merge_.push_back(b_counts_[ai]);
@@ -305,7 +333,7 @@ void Ledger::apply_dealt(const std::uint32_t* cls, std::size_t k,
     }
     std::int64_t old_d = 0;
     std::int64_t old_b = 0;
-    if (ai < active_.size() && active_[ai] == j) {
+    if (ai < size_ && active_[ai] == j) {
       old_d = d_counts_[ai];
       old_b = b_counts_[ai];
       ++ai;
@@ -318,7 +346,7 @@ void Ledger::apply_dealt(const std::uint32_t* cls, std::size_t k,
       b_merge_.push_back(b_vals[c]);
     }
   }
-  while (ai < active_.size()) {
+  while (ai < size_) {
     active_merge_.push_back(active_[ai]);
     d_merge_.push_back(d_counts_[ai]);
     b_merge_.push_back(b_counts_[ai]);
@@ -327,6 +355,7 @@ void Ledger::apply_dealt(const std::uint32_t* cls, std::size_t k,
   active_.swap(active_merge_);
   d_counts_.swap(d_merge_);
   b_counts_.swap(b_merge_);
+  size_ = static_cast<std::uint32_t>(active_.size());
 }
 
 ClassCounts Ledger::rebuild_dealt(const std::uint32_t* cls, std::size_t k,
@@ -336,20 +365,12 @@ ClassCounts Ledger::rebuild_dealt(const std::uint32_t* cls, std::size_t k,
   DLB_REQUIRE((cls != nullptr && d_vals != nullptr) || k == 0,
               "null dealt columns");
   DLB_REQUIRE(stride >= 1, "dealt column stride must be positive");
-  DLB_REQUIRE(k >= active_.size(),
+  DLB_REQUIRE(k >= size_,
               "rebuild_dealt needs cls to cover every active class");
   // Every column writes its slot unconditionally and the cursor only
-  // moves past nonzero entries, so the vectors are sized to k up front
-  // (same growth policy as a push_back rebuild) and trimmed at the end.
-  if (active_.capacity() < k) {
-    const std::size_t cap = std::max(k, 2 * active_.capacity());
-    active_.reserve(cap);
-    d_counts_.reserve(cap);
-    b_counts_.reserve(cap);
-  }
-  active_.resize(k);
-  d_counts_.resize(k);
-  b_counts_.resize(k);
+  // moves past nonzero entries, so k slots must exist; after the pass
+  // the live prefix just shrinks, leaving the slots for the next deal.
+  ensure_slots(k);
   const RebuildPass pass =
       b_vals != nullptr
           ? rebuild_pass<true>(cls, k, d_vals, b_vals, stride, own,
@@ -358,9 +379,7 @@ ClassCounts Ledger::rebuild_dealt(const std::uint32_t* cls, std::size_t k,
           : rebuild_pass<false>(cls, k, d_vals, b_vals, stride, own,
                                 active_.data(), d_counts_.data(),
                                 b_counts_.data());
-  active_.resize(pass.entries);
-  d_counts_.resize(pass.entries);
-  b_counts_.resize(pass.entries);
+  size_ = static_cast<std::uint32_t>(pass.entries);
   real_ = pass.real;
   borrowed_ = pass.borrowed;
   if (pass.bad != 0 || (k > 0 && cls[k - 1] >= classes_)) {
@@ -406,6 +425,7 @@ void Ledger::replace(std::vector<std::int64_t> d_new,
       b_counts_.push_back(b_new[j]);
     }
   }
+  size_ = static_cast<std::uint32_t>(active_.size());
   real_ = real;
   borrowed_ = borrowed;
 }
@@ -427,11 +447,12 @@ void Ledger::warm_thread_scratch(std::size_t entries) {
 
 void Ledger::check(std::uint32_t borrow_cap) const {
   DLB_ENSURE(d_counts_.size() == active_.size() &&
-                 b_counts_.size() == active_.size(),
+                 b_counts_.size() == active_.size() &&
+                 size_ <= active_.size(),
              "parallel count vectors out of shape (S2)");
   std::int64_t real = 0;
   std::int64_t borrowed = 0;
-  for (std::size_t i = 0; i < active_.size(); ++i) {
+  for (std::size_t i = 0; i < size_; ++i) {
     DLB_ENSURE(active_[i] < classes_, "active class out of range (S1)");
     DLB_ENSURE(i == 0 || active_[i] > active_[i - 1],
                "active classes not strictly ascending (S1/L3)");
@@ -451,21 +472,19 @@ void Ledger::check(std::uint32_t borrow_cap) const {
 
 std::vector<std::int64_t> Ledger::dense_d() const {
   std::vector<std::int64_t> out(classes_, 0);
-  for (std::size_t i = 0; i < active_.size(); ++i)
-    out[active_[i]] = d_counts_[i];
+  for (std::size_t i = 0; i < size_; ++i) out[active_[i]] = d_counts_[i];
   return out;
 }
 
 std::vector<std::int64_t> Ledger::dense_b() const {
   std::vector<std::int64_t> out(classes_, 0);
-  for (std::size_t i = 0; i < active_.size(); ++i)
-    out[active_[i]] = b_counts_[i];
+  for (std::size_t i = 0; i < size_; ++i) out[active_[i]] = b_counts_[i];
   return out;
 }
 
 std::vector<std::uint32_t> Ledger::marked_classes() const {
   std::vector<std::uint32_t> out;
-  for (std::size_t i = 0; i < active_.size(); ++i)
+  for (std::size_t i = 0; i < size_; ++i)
     if (b_counts_[i] != 0) out.push_back(active_[i]);
   return out;
 }

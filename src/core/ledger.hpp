@@ -13,16 +13,20 @@
 //
 // Storage is *sparse*: the ledger holds no O(n) arrays.  The source of
 // truth is three parallel vectors keyed by the sorted active-class list —
-// active_[i] is a class with a nonzero ledger entry, d_counts_[i] and
-// b_counts_[i] are its counts.  A ledger therefore costs O(A) memory in
-// the number A of active classes, not O(n); with every processor holding
-// a handful of classes the whole n-processor simulator is O(n·A) bytes
-// instead of the former O(n²) (which at n = 65536 would be ~64 GB of
-// dense arrays).  Structural invariants of the compact form:
-//   (S1) active_ is strictly ascending and every listed class satisfies
-//        d > 0 || b > 0 — no zero entries are stored;
-//   (S2) d_counts_/b_counts_ have exactly one slot per active_ entry and
-//        hold non-negative counts.
+// for i < size_, active_[i] is a class with a nonzero ledger entry,
+// d_counts_[i] and b_counts_[i] are its counts.  A ledger therefore
+// costs O(A) memory in the number A of active classes, not O(n); with
+// every processor holding a handful of classes the whole n-processor
+// simulator is O(n·A) bytes instead of the former O(n²) (which at
+// n = 65536 would be ~64 GB of dense arrays).  The vectors keep the
+// length of the most entries the ledger ever held and only the first
+// size_ slots are live, so a balance write-back that briefly needs more
+// slots than it keeps never resizes (and zero-fills) them again.
+// Structural invariants of the compact form:
+//   (S1) the live prefix of active_ is strictly ascending and every
+//        listed class satisfies d > 0 || b > 0 — no zero entries;
+//   (S2) the three vectors have one length, at least size_, and the
+//        live counts are non-negative.
 // The derived views keep their PR-1 contracts:
 //   (L3) active_classes() is exactly {j : d[j] > 0 || b[j] > 0}, sorted
 //        ascending, and
@@ -39,6 +43,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace dlb {
@@ -70,16 +75,22 @@ class Ledger {
   /// bounds.
   std::int64_t virtual_load() const { return real_ + borrowed_; }
 
-  /// Classes with d[j] > 0 || b[j] > 0, ascending (L3).  The reference is
+  /// Classes with d[j] > 0 || b[j] > 0, ascending (L3).  The view is
   /// invalidated by any mutating call.
-  const std::vector<std::uint32_t>& active_classes() const { return active_; }
+  std::span<const std::uint32_t> active_classes() const {
+    return {active_.data(), size_};
+  }
 
   /// Per-class counts parallel to active_classes(): active_d()[i] is
   /// d[active_classes()[i]], active_b()[i] is b[active_classes()[i]].
   /// Lets bulk readers (the balance gather) walk the compact storage
   /// without per-class binary searches.  Invalidated by any mutation.
-  const std::vector<std::int64_t>& active_d() const { return d_counts_; }
-  const std::vector<std::int64_t>& active_b() const { return b_counts_; }
+  std::span<const std::int64_t> active_d() const {
+    return {d_counts_.data(), size_};
+  }
+  std::span<const std::int64_t> active_b() const {
+    return {b_counts_.data(), size_};
+  }
 
   /// Positional access: k counts classes in ascending order, naming the
   /// class a dense j = 0..n-1 scan would.  One O(A) pass; an out-of-range
@@ -138,11 +149,12 @@ class Ledger {
   /// participant's whole active list, so it does by construction; only
   /// the necessary condition k >= active count is checked here.  The
   /// post state depends on the dealt values alone, so the compact
-  /// vectors are rebuilt in place in one pass.  The per-cell checks (d >=
-  /// 0, b in {0, 1}, classes ascending) fold into one accumulator tested
-  /// after the pass, with the class range checked on the last class; a
-  /// call they reject leaves the ledger unspecified (the shape and
-  /// coverage checks run before any write).
+  /// vectors are rebuilt in place by one pass, their only write (they
+  /// grow only when k exceeds every earlier length).  The per-cell
+  /// checks (d >= 0, b in {0, 1}, classes ascending) fold into one
+  /// accumulator tested after the pass, with the class range checked on
+  /// the last class; a call they reject leaves the ledger unspecified
+  /// (the shape and coverage checks run before any write).
   /// Returns the counts of class `own` (the participant's own class), so
   /// callers need no lookups after the deal.  O(k).
   ClassCounts rebuild_dealt(const std::uint32_t* cls, std::size_t k,
@@ -200,6 +212,9 @@ class Ledger {
   // The writes of borrow / repay_with_generation on a validated slot.
   void borrow_at(std::size_t pos);
   void repay_at(std::size_t pos);
+  // Lengthens the three vectors to at least `slots` (capacity doubling,
+  // as push_back would); never shrinks them.
+  void ensure_slots(std::size_t slots);
   void insert_entry(std::size_t pos, std::uint32_t j, std::int64_t d_val,
                     std::int64_t b_val);
   void erase_entry(std::size_t pos);
@@ -207,6 +222,10 @@ class Ledger {
   void drop_if_zero(std::size_t pos);
 
   std::uint32_t classes_;
+  // Live entries: the compact vectors below are live in [0, size_) and
+  // kept at their high-water length.  At most classes_, so 32 bits; it
+  // sits in classes_'s padding and costs the ledger no bytes.
+  std::uint32_t size_ = 0;
   std::int64_t real_ = 0;
   std::int64_t borrowed_ = 0;
   // Compact storage: parallel vectors keyed by the ascending active list.
