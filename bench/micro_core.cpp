@@ -239,10 +239,11 @@ CoreTimings measure_core(std::uint32_t n,
   {
     System sys = make_system(n, 4);
     const std::uint64_t event_iters = 200000;
-    out.generate_ns = time_ns_per_op(
-        event_iters, [&](std::uint64_t i) { sys.generate(i % n); });
+    out.generate_ns = time_ns_per_op(event_iters, [&](std::uint64_t i) {
+      sys.generate(static_cast<std::uint32_t>(i % n));
+    });
     out.consume_ns = time_ns_per_op(event_iters, [&](std::uint64_t i) {
-      benchmark::DoNotOptimize(sys.consume(i % n));
+      benchmark::DoNotOptimize(sys.consume(static_cast<std::uint32_t>(i % n)));
     });
   }
   // Balancing is timed in short batches over fresh systems: a long

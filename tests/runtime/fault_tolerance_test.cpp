@@ -100,8 +100,11 @@ TEST(FaultTolerantRuntime, CrashedProcessorIsJournalRecovered) {
   EXPECT_EQ(sys.stats().ranks_dead, 1u);
   EXPECT_TRUE(sys.journal().crashed(3));
   EXPECT_EQ(sys.final_loads()[3], sys.journal().recovered_load(3));
-  for (std::uint32_t p = 0; p < 8; ++p)
-    if (p != 3) EXPECT_FALSE(sys.processor_dead(p));
+  for (std::uint32_t p = 0; p < 8; ++p) {
+    if (p != 3) {
+      EXPECT_FALSE(sys.processor_dead(p));
+    }
+  }
 }
 
 TEST(FaultTolerantRuntime, SurvivesCrashPlusLoss) {

@@ -85,7 +85,9 @@ TEST(RingQueue, EraseMatchesDequeOracle) {
       oracle.erase(oracle.begin() + static_cast<std::ptrdiff_t>(i));
     }
     ASSERT_EQ(q.size(), oracle.size());
-    if (!oracle.empty()) ASSERT_EQ(q.front(), oracle.front());
+    if (!oracle.empty()) {
+      ASSERT_EQ(q.front(), oracle.front());
+    }
   }
   for (std::size_t i = 0; i < oracle.size(); ++i) ASSERT_EQ(q[i], oracle[i]);
 }

@@ -26,7 +26,9 @@ TEST(ZipfSampler, PmfIsNormalizedAndMonotone) {
     for (std::uint64_t k = 1; k <= z.n(); ++k) {
       const double p = z.pmf(k);
       EXPECT_GT(p, 0.0);
-      if (k > 1) EXPECT_LT(p, z.pmf(k - 1));
+      if (k > 1) {
+        EXPECT_LT(p, z.pmf(k - 1));
+      }
       total += p;
     }
     EXPECT_NEAR(total, 1.0, 1e-12) << "alpha=" << alpha;
