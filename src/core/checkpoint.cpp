@@ -108,6 +108,10 @@ System load_checkpoint(std::istream& is, const Topology* topology) {
     system.partner_radius_ = static_cast<unsigned>(radius);
   }
 
+  // Each processor's entries become ascending (class, d, b) columns that
+  // rebuild its fresh ledger in one pass; rebuild_dealt validates the
+  // order, the class range and the cell values, and check_invariants
+  // below the marker cap.
   std::vector<std::uint32_t> cls;
   std::vector<std::int64_t> d_vals;
   std::vector<std::int64_t> b_vals;
@@ -115,16 +119,20 @@ System load_checkpoint(std::istream& is, const Topology* topology) {
     ProcessorState& st = system.procs_[p];
     is >> st.l_old >> st.local_time;
     if (version == 1) {
-      // Dense rows: stream the cells into the ledger; only the nonzero
-      // ones are stored (ascending order makes each insert an append).
-      std::int64_t v = 0;
+      // Dense rows: all n d cells, then all n b cells; only the nonzero
+      // classes become columns.
+      d_vals.assign(processors, 0);
+      b_vals.assign(processors, 0);
+      for (std::int64_t& v : d_vals) is >> v;
+      for (std::int64_t& v : b_vals) is >> v;
+      cls.clear();
+      std::size_t entries = 0;
       for (std::uint32_t j = 0; j < processors; ++j) {
-        is >> v;
-        st.ledger.set_d(j, v);
-      }
-      for (std::uint32_t j = 0; j < processors; ++j) {
-        is >> v;
-        st.ledger.set_b(j, v);
+        if (d_vals[j] == 0 && b_vals[j] == 0) continue;
+        cls.push_back(j);
+        d_vals[entries] = d_vals[j];
+        b_vals[entries] = b_vals[j];
+        ++entries;
       }
     } else {
       std::size_t entries = 0;
@@ -136,12 +144,10 @@ System load_checkpoint(std::istream& is, const Topology* topology) {
       b_vals.resize(entries);
       for (std::size_t i = 0; i < entries; ++i)
         is >> cls[i] >> d_vals[i] >> b_vals[i];
-      // apply_dealt on the fresh (empty) ledger installs the entries in
-      // one pass and validates ascending order and value ranges.
-      st.ledger.apply_dealt(cls.data(), entries, d_vals.data(),
-                            b_vals.data());
     }
     DLB_REQUIRE(is.good(), "checkpoint ledger malformed");
+    st.ledger.rebuild_dealt(cls.data(), cls.size(), d_vals.data(),
+                            b_vals.data(), 1, p);
   }
   system.check_invariants();
   return system;

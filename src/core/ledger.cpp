@@ -8,19 +8,6 @@ namespace dlb {
 
 namespace {
 
-// The per-thread apply_dealt merge buffers, hoisted to an accessor so
-// warm_thread_scratch can pre-size them before a thread's first deal.
-struct MergeScratch {
-  std::vector<std::uint32_t> active;
-  std::vector<std::int64_t> d;
-  std::vector<std::int64_t> b;
-};
-
-MergeScratch& merge_scratch() {
-  thread_local MergeScratch scratch;
-  return scratch;
-}
-
 // Result of rebuild_pass.
 struct RebuildPass {
   std::size_t entries = 0;  // nonzero entries written
@@ -155,11 +142,11 @@ void Ledger::drop_if_zero(std::size_t pos) {
 void Ledger::add_real(std::uint32_t j, std::int64_t count) {
   DLB_REQUIRE(j < classes_, "load class out of range");
   DLB_REQUIRE(count >= 0, "cannot add a negative packet count");
-  const std::size_t pos = lower_slot(j);
-  if (pos < size_ && active_[pos] == j) {
+  const std::size_t pos = slot(j);
+  if (pos < size_) {
     d_counts_[pos] += count;
   } else if (count > 0) {
-    insert_entry(pos, j, count, 0);
+    insert_entry(lower_slot(j), j, count, 0);
   }
   real_ += count;
 }
@@ -204,34 +191,14 @@ std::size_t Ledger::borrowable() const {
   return count;
 }
 
-void Ledger::borrow_at(std::size_t pos) {
-  // d + b goes 1 packet -> 1 marker: the entry stays active throughout.
+std::uint32_t Ledger::borrow_nth(std::size_t k) {
+  // One real packet becomes one marker: d + b is unchanged, so the entry
+  // stays active.
+  const std::size_t pos = nth_borrowable_slot(k);
   d_counts_[pos] -= 1;
   b_counts_[pos] += 1;
   real_ -= 1;
   borrowed_ += 1;
-}
-
-void Ledger::repay_at(std::size_t pos) {
-  // Marker -> real packet: the entry stays active throughout.
-  b_counts_[pos] -= 1;
-  borrowed_ -= 1;
-  d_counts_[pos] += 1;
-  real_ += 1;
-}
-
-void Ledger::borrow(std::uint32_t j) {
-  DLB_REQUIRE(j < classes_, "load class out of range");
-  const std::size_t pos = slot(j);
-  DLB_REQUIRE(pos < size_ && d_counts_[pos] > 0,
-              "borrow needs a real packet of the class");
-  DLB_REQUIRE(b_counts_[pos] == 0, "at most one marker per class (paper, §4)");
-  borrow_at(pos);
-}
-
-std::uint32_t Ledger::borrow_nth(std::size_t k) {
-  const std::size_t pos = nth_borrowable_slot(k);
-  borrow_at(pos);
   return active_[pos];
 }
 
@@ -245,117 +212,14 @@ void Ledger::clear_marker(std::uint32_t j) {
   drop_if_zero(pos);
 }
 
-void Ledger::repay_with_generation(std::uint32_t j) {
-  DLB_REQUIRE(j < classes_, "load class out of range");
-  const std::size_t pos = slot(j);
-  DLB_REQUIRE(pos < size_ && b_counts_[pos] > 0,
-              "no outstanding debt of this class");
-  repay_at(pos);
-}
-
 std::uint32_t Ledger::repay_nth_marked(std::size_t k) {
+  // A marker becomes a real packet: the entry stays active.
   const std::size_t pos = nth_marked_slot(k);
-  repay_at(pos);
+  b_counts_[pos] -= 1;
+  borrowed_ -= 1;
+  d_counts_[pos] += 1;
+  real_ += 1;
   return active_[pos];
-}
-
-void Ledger::set_d(std::uint32_t j, std::int64_t value) {
-  DLB_REQUIRE(j < classes_, "load class out of range");
-  DLB_REQUIRE(value >= 0, "negative real count");
-  const std::size_t pos = lower_slot(j);
-  if (pos < size_ && active_[pos] == j) {
-    real_ += value - d_counts_[pos];
-    d_counts_[pos] = value;
-    drop_if_zero(pos);
-  } else if (value > 0) {
-    insert_entry(pos, j, value, 0);
-    real_ += value;
-  }
-}
-
-void Ledger::set_b(std::uint32_t j, std::int64_t value) {
-  DLB_REQUIRE(j < classes_, "load class out of range");
-  DLB_REQUIRE(value == 0 || value == 1,
-              "marker counts are 0 or 1 (paper, §4)");
-  const std::size_t pos = lower_slot(j);
-  if (pos < size_ && active_[pos] == j) {
-    if (b_counts_[pos] == value) return;
-    borrowed_ += value - b_counts_[pos];
-    b_counts_[pos] = value;
-    drop_if_zero(pos);
-  } else if (value > 0) {
-    insert_entry(pos, j, 0, 1);
-    borrowed_ += 1;
-  }
-}
-
-void Ledger::apply_dealt(const std::uint32_t* cls, std::size_t k,
-                         const std::int64_t* d_vals,
-                         const std::int64_t* b_vals) {
-  DLB_REQUIRE(cls != nullptr || k == 0, "null class list");
-  // Shared merge scratch: one warm buffer set per thread instead of four
-  // growth-cascading vectors per ledger.  The final swap donates the
-  // merged buffers to this ledger and parks its old vectors here, so
-  // capacities circulate and reach the steady-state maximum after a few
-  // balancing operations — after which the write-back allocates nothing.
-  MergeScratch& merge = merge_scratch();
-  std::vector<std::uint32_t>& active_merge_ = merge.active;
-  std::vector<std::int64_t>& d_merge_ = merge.d;
-  std::vector<std::int64_t>& b_merge_ = merge.b;
-  active_merge_.clear();
-  d_merge_.clear();
-  b_merge_.clear();
-  const std::size_t max_entries = size_ + k;
-  if (active_merge_.capacity() < max_entries) {
-    const std::size_t cap =
-        std::max(max_entries, 2 * active_merge_.capacity());
-    active_merge_.reserve(cap);
-    d_merge_.reserve(cap);
-    b_merge_.reserve(cap);
-  }
-  std::size_t ai = 0;
-  std::uint32_t prev = 0;
-  for (std::size_t c = 0; c < k; ++c) {
-    const std::uint32_t j = cls[c];
-    DLB_REQUIRE(j < classes_, "load class out of range");
-    DLB_REQUIRE(c == 0 || j > prev, "class list must be strictly ascending");
-    prev = j;
-    DLB_REQUIRE(d_vals[c] >= 0, "negative real count");
-    DLB_REQUIRE(b_vals[c] == 0 || b_vals[c] == 1,
-                "marker counts are 0 or 1 (paper, §4)");
-    // Carry over entries for classes below j, then drop j's own (re-added
-    // below if it remains active).
-    while (ai < size_ && active_[ai] < j) {
-      active_merge_.push_back(active_[ai]);
-      d_merge_.push_back(d_counts_[ai]);
-      b_merge_.push_back(b_counts_[ai]);
-      ++ai;
-    }
-    std::int64_t old_d = 0;
-    std::int64_t old_b = 0;
-    if (ai < size_ && active_[ai] == j) {
-      old_d = d_counts_[ai];
-      old_b = b_counts_[ai];
-      ++ai;
-    }
-    real_ += d_vals[c] - old_d;
-    borrowed_ += b_vals[c] - old_b;
-    if (d_vals[c] > 0 || b_vals[c] > 0) {
-      active_merge_.push_back(j);
-      d_merge_.push_back(d_vals[c]);
-      b_merge_.push_back(b_vals[c]);
-    }
-  }
-  while (ai < size_) {
-    active_merge_.push_back(active_[ai]);
-    d_merge_.push_back(d_counts_[ai]);
-    b_merge_.push_back(b_counts_[ai]);
-    ++ai;
-  }
-  active_.swap(active_merge_);
-  d_counts_.swap(d_merge_);
-  b_counts_.swap(b_merge_);
-  size_ = static_cast<std::uint32_t>(active_.size());
 }
 
 ClassCounts Ledger::rebuild_dealt(const std::uint32_t* cls, std::size_t k,
@@ -402,47 +266,11 @@ ClassCounts Ledger::rebuild_dealt(const std::uint32_t* cls, std::size_t k,
   return mine;
 }
 
-void Ledger::replace(std::vector<std::int64_t> d_new,
-                     std::vector<std::int64_t> b_new) {
-  DLB_REQUIRE(d_new.size() == classes_ && b_new.size() == classes_,
-              "replacement vectors must match the class count");
-  std::int64_t real = 0;
-  std::int64_t borrowed = 0;
-  for (std::size_t j = 0; j < d_new.size(); ++j) {
-    DLB_REQUIRE(d_new[j] >= 0, "negative real count in replacement");
-    DLB_REQUIRE(b_new[j] == 0 || b_new[j] == 1,
-                "marker counts are 0 or 1 (paper, §4)");
-    real += d_new[j];
-    borrowed += b_new[j];
-  }
-  active_.clear();
-  d_counts_.clear();
-  b_counts_.clear();
-  for (std::uint32_t j = 0; j < classes_; ++j) {
-    if (d_new[j] > 0 || b_new[j] > 0) {
-      active_.push_back(j);
-      d_counts_.push_back(d_new[j]);
-      b_counts_.push_back(b_new[j]);
-    }
-  }
-  size_ = static_cast<std::uint32_t>(active_.size());
-  real_ = real;
-  borrowed_ = borrowed;
-}
-
 void Ledger::reserve_active(std::uint32_t k) {
   const auto cap = static_cast<std::size_t>(std::min(k, classes_));
   active_.reserve(cap);
   d_counts_.reserve(cap);
   b_counts_.reserve(cap);
-}
-
-void Ledger::warm_thread_scratch(std::size_t entries) {
-  MergeScratch& scratch = merge_scratch();
-  if (scratch.active.capacity() >= entries) return;
-  scratch.active.reserve(entries);
-  scratch.d.reserve(entries);
-  scratch.b.reserve(entries);
 }
 
 void Ledger::check(std::uint32_t borrow_cap) const {
@@ -479,13 +307,6 @@ std::vector<std::int64_t> Ledger::dense_d() const {
 std::vector<std::int64_t> Ledger::dense_b() const {
   std::vector<std::int64_t> out(classes_, 0);
   for (std::size_t i = 0; i < size_; ++i) out[active_[i]] = b_counts_[i];
-  return out;
-}
-
-std::vector<std::uint32_t> Ledger::marked_classes() const {
-  std::vector<std::uint32_t> out;
-  for (std::size_t i = 0; i < size_; ++i)
-    if (b_counts_[i] != 0) out.push_back(active_[i]);
   return out;
 }
 

@@ -97,11 +97,15 @@ class Ledger {
   /// k throws contract_error and mutates nothing.
   /// The k-th class with b[j] > 0 (k < borrowed_total(), by L4).
   std::uint32_t nth_marked(std::size_t k) const;
-  /// How many classes borrow() accepts (d[j] > 0 and b[j] == 0).
+  /// How many classes can be borrowed (d[j] > 0 and b[j] == 0).
   std::size_t borrowable() const;
-  /// borrow() / repay_with_generation() of the k-th such class; returns
-  /// the class.
+  /// Borrows the k-th such class: one of its real packets is consumed
+  /// and becomes a marker, so class j's virtual total is preserved
+  /// ([D3]).  Returns the class.
   std::uint32_t borrow_nth(std::size_t k);
+  /// Repays the k-th marked class with a newly generated packet (the
+  /// appendix's generate path): its marker becomes a real packet.
+  /// Returns the class.
   std::uint32_t repay_nth_marked(std::size_t k);
 
   /// Adds `count` real packets of class j.
@@ -109,77 +113,38 @@ class Ledger {
   /// Removes `count` real packets of class j (must be available).
   void remove_real(std::uint32_t j, std::int64_t count);
 
-  /// Converts one real class-j packet into a borrow marker: the packet is
-  /// consumed, class j's virtual total is preserved.  Requires d[j] > 0
-  /// and b[j] == 0.
-  void borrow(std::uint32_t j);
-
   /// Clears one borrow marker of class j (debt settled).
   void clear_marker(std::uint32_t j);
 
-  /// Converts one borrow marker of class j back into a real packet
-  /// (the appendix's generate path: a newly generated packet is booked
-  /// against an outstanding debt).  Requires b[j] > 0.
-  void repay_with_generation(std::uint32_t j);
-
-  /// Sets d[j] to an absolute value (balancing write-back, checkpoint
-  /// compat).  O(A) worst case (entry insert/erase); totals are
-  /// maintained incrementally.
-  void set_d(std::uint32_t j, std::int64_t value);
-
-  /// Sets b[j] to an absolute value in {0, 1}.
-  void set_b(std::uint32_t j, std::int64_t value);
-
-  /// Batch write-back for a balancing operation: assigns
-  /// d[cls[c]] = d_vals[c] and b[cls[c]] = b_vals[c] for c in [0, k).
-  /// `cls` must be sorted ascending with no duplicates; d values
-  /// non-negative, b values in {0, 1}.  One merge pass over the compact
-  /// storage and the k dealt columns — O(A + k) total, touching only
-  /// cache-resident vectors (no scattered dense cells exist anymore).
-  /// Also the sparse bulk-load path: on an empty ledger it installs the
-  /// nonzero entries directly (checkpoint restore).
-  void apply_dealt(const std::uint32_t* cls, std::size_t k,
-                   const std::int64_t* d_vals, const std::int64_t* b_vals);
-
-  /// Balance-deal write-back: rebuilds the ledger from one participant
-  /// row of a dealt matrix, assigning d[cls[c]] = d_vals[c * stride] and
+  /// The ledger's one bulk write: rebuilds it from ascending columns,
+  /// assigning d[cls[c]] = d_vals[c * stride] and
   /// b[cls[c]] = b_vals[c * stride] for c in [0, k); b_vals may be null
-  /// (every b is zero).  `cls` must be strictly ascending and cover every
-  /// currently active class — the deal's union merge consumes every
-  /// participant's whole active list, so it does by construction; only
-  /// the necessary condition k >= active count is checked here.  The
-  /// post state depends on the dealt values alone, so the compact
-  /// vectors are rebuilt in place by one pass, their only write (they
-  /// grow only when k exceeds every earlier length).  The per-cell
-  /// checks (d >= 0, b in {0, 1}, classes ascending) fold into one
-  /// accumulator tested after the pass, with the class range checked on
-  /// the last class; a call they reject leaves the ledger unspecified
+  /// (every b is zero).  Two callers: the balance deal writes back one
+  /// participant row of its dealt matrix (stride = participants), and
+  /// checkpoint restore installs a processor's saved entries into the
+  /// fresh ledger (stride 1).  `cls` must be strictly ascending and
+  /// cover every currently active class — the deal's union merge
+  /// consumes every participant's whole active list, so it does by
+  /// construction; only the necessary condition k >= active count is
+  /// checked here.  The post state depends on the given values alone,
+  /// so the compact vectors are rebuilt in place by one pass, their only
+  /// write (they grow only when k exceeds every earlier length).  The
+  /// per-cell checks (d >= 0, b in {0, 1}, classes ascending) fold into
+  /// one accumulator tested after the pass, with the class range checked
+  /// on the last class; a call they reject leaves the ledger unspecified
   /// (the shape and coverage checks run before any write).
-  /// Returns the counts of class `own` (the participant's own class), so
-  /// callers need no lookups after the deal.  O(k).
+  /// Returns the counts of class `own` (the deal participant's own
+  /// class), so callers need no lookups after the deal.  O(k).
   ClassCounts rebuild_dealt(const std::uint32_t* cls, std::size_t k,
                             const std::int64_t* d_vals,
                             const std::int64_t* b_vals, std::size_t stride,
                             std::uint32_t own);
-
-  /// Wholesale replacement from dense vectors (tests).  Vectors must
-  /// have size classes(); d entries must be non-negative, b entries in
-  /// {0, 1}.  O(n) input scan; only the nonzero entries are stored.
-  void replace(std::vector<std::int64_t> d_new,
-               std::vector<std::int64_t> b_new);
 
   /// Capacity floor: pre-sizes the compact storage for `k` active-class
   /// entries (clamped to classes()), so later writes up to that
   /// occupancy never reallocate — the zero-allocation steady-state knob
   /// (BalancerConfig::reserve_classes).  Never shrinks.
   void reserve_active(std::uint32_t k);
-
-  /// Pre-sizes the calling thread's apply_dealt merge scratch for
-  /// `entries` merged entries, so a thread's *first* deal is as
-  /// allocation-free as its hundredth (the lazy warmup would otherwise
-  /// land wherever that first deal happens to fall in the run —
-  /// DESIGN.md §11).  Never shrinks.
-  static void warm_thread_scratch(std::size_t entries);
 
   /// Verifies L1-L4 (b[j] <= 1 per class) and the compact-storage
   /// invariants S1/S2; throws contract_error on failure.  O(A) —
@@ -189,8 +154,6 @@ class Ledger {
   /// Dense materializations for tests and tools; O(n) each, allocates.
   std::vector<std::int64_t> dense_d() const;
   std::vector<std::int64_t> dense_b() const;
-  /// Classes with b[j] > 0, ascending (L4); O(A), allocates.
-  std::vector<std::uint32_t> marked_classes() const;
 
   /// Heap bytes held by this ledger's sparse storage (capacities of the
   /// three parallel entry vectors) — the bytes-per-processor metric
@@ -200,7 +163,7 @@ class Ledger {
  private:
   // lower_bound slot of class j in active_.
   std::size_t lower_slot(std::uint32_t j) const;
-  // Slot of class j, or active_.size() when j has no entry.  The const
+  // Slot of class j, or size_ when j has no entry.  The const
   // overload is write-free (it consults hint_ but never updates it), so
   // concurrent const lookups on one shared ledger are race-free; the
   // non-const overload additionally memoizes the hit in hint_.
@@ -209,9 +172,6 @@ class Ledger {
   // Slot of the k-th marked / borrowable entry; contract_error if none.
   std::size_t nth_marked_slot(std::size_t k) const;
   std::size_t nth_borrowable_slot(std::size_t k) const;
-  // The writes of borrow / repay_with_generation on a validated slot.
-  void borrow_at(std::size_t pos);
-  void repay_at(std::size_t pos);
   // Lengthens the three vectors to at least `slots` (capacity doubling,
   // as push_back would); never shrinks them.
   void ensure_slots(std::size_t slots);
@@ -232,10 +192,6 @@ class Ledger {
   std::vector<std::uint32_t> active_;
   std::vector<std::int64_t> d_counts_;
   std::vector<std::int64_t> b_counts_;
-  // apply_dealt merges through shared thread-local scratch buffers (see
-  // ledger.cpp): per-ledger buffers would re-pay the vector growth
-  // cascade on every balancing write-back, a malloc storm on the hot
-  // path; one warm buffer set per thread serves every ledger.
   // Memo of the last mutating slot() hit.  The event loop queries the
   // same class many times in a row (generate/consume/trigger checks on
   // the own class), so this turns most lookups into one comparison.  Safe

@@ -314,6 +314,14 @@ void System::settle_debts(std::uint32_t p, Rng& rng) {
 }
 
 void System::remote_exchange(std::uint32_t p, std::uint32_t j, Rng& rng) {
+  exchange_packets(p, j, costs_);
+  // j's self-generated load dropped: simulate the workload decrease (at
+  // most one balancing operation, as required by §4).
+  maybe_balance(j, rng);
+}
+
+void System::exchange_packets(std::uint32_t p, std::uint32_t j,
+                              CostLedger& costs) {
   count_event(m_.borrow_remote);
   Ledger& debtor = procs_[p].ledger;
   Ledger& generator = procs_[j].ledger;
@@ -326,10 +334,10 @@ void System::remote_exchange(std::uint32_t p, std::uint32_t j, Rng& rng) {
   debtor.add_real(j, x);
   touch_load(p);
   touch_load(j);
-  costs_.record_migration(j, p, static_cast<std::uint64_t>(x));
-  costs_.record_net_migration(static_cast<std::uint64_t>(x));
-  if (recorder_ != nullptr)
-    recorder_->on_migration(j, p, static_cast<std::uint64_t>(x));
+  const auto moved = static_cast<std::uint64_t>(x);
+  costs.record_migration(j, p, moved);
+  costs.record_net_migration(moved);
+  if (recorder_ != nullptr) recorder_->on_migration(j, p, moved);
   std::int64_t to_clear = x;
   if (debtor.b(j) > 0) {
     debtor.clear_marker(j);
@@ -341,10 +349,7 @@ void System::remote_exchange(std::uint32_t p, std::uint32_t j, Rng& rng) {
     debtor.clear_marker(debtor.nth_marked(0));
     --to_clear;
   }
-  // j's self-generated load dropped by x: simulate the workload decrease
-  // (at most one balancing operation, as required by §4).
   count_event(m_.decrease_sim);
-  maybe_balance(j, rng);
 }
 
 void System::resolve_empty_generator(std::uint32_t p, std::uint32_t j,
@@ -553,10 +558,6 @@ void System::warm_thread_scratch() {
   if (config_.reserve_classes == 0) return;
   const std::size_t m = static_cast<std::size_t>(config_.delta) + 1;
   balance_scratch().reserve_bounds(m, processors());
-  // The merge peaks at old entries + dealt columns, each bounded by the
-  // per-ledger reserve.
-  Ledger::warm_thread_scratch(
-      2 * static_cast<std::size_t>(config_.reserve_classes));
   // Depth 8 covers every balance → cancel → re-balance chain seen in
   // practice; a deeper chain merely re-warms lazily at that depth.
   detail::warm_scratch_vec_pool(8, config_.delta);

@@ -258,11 +258,10 @@ class System {
 
   // Zero-alloc opt-in (reserve_classes > 0, DESIGN.md §11): pre-sizes
   // every lazily-grown thread_local on the balancing path — balance
-  // scratch, ledger merge buffers, the partner-draw pool — to its
-  // analytic bound.  Each driver calls this once per worker thread at
-  // startup, so a thread whose first balancing operation lands late in
-  // the run does not pay its one-time warmup there.  No-op without the
-  // opt-in.
+  // scratch and the partner-draw pool — to its analytic bound.  Each
+  // driver calls this once per worker thread at startup, so a thread
+  // whose first balancing operation lands late in the run does not pay
+  // its one-time warmup there.  No-op without the opt-in.
   void warm_thread_scratch();
 
   // Balancing operation over initiator + delta random partners.
@@ -298,10 +297,17 @@ class System {
   // j; remote-exchange against j's generator or run the §4 resolution.
   void settle_debts(std::uint32_t p, Rng& rng);
 
-  // Remote exchange [D4]: up to min(d[j][j], borrowed_total(p)) real
-  // class-j packets migrate j -> p, clearing that many markers on p;
-  // j then simulates the corresponding workload decrease.
+  // Remote exchange [D4]: exchange_packets, then j simulates the
+  // corresponding workload decrease with a nested trigger check.
   void remote_exchange(std::uint32_t p, std::uint32_t j, Rng& rng);
+
+  // The body of [D4] both engines share: up to min(d[j][j],
+  // borrowed_total(p)) real class-j packets migrate j -> p and are
+  // charged to `costs`, then that many of p's markers are cleared, class
+  // j's first and then the lowest classes.  Counts the remote borrow and
+  // the simulated decrease; the decrease itself (a trigger check on j)
+  // is the caller's.  Both ledgers must be held by the caller.
+  void exchange_packets(std::uint32_t p, std::uint32_t j, CostLedger& costs);
 
   // [D5] resolution when class j's generator holds none of its own
   // packets.

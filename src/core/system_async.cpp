@@ -444,29 +444,12 @@ class AsyncEngine {
     dispatch(sh, Msg{q, OpKind::Trigger});
   }
 
-  // Remote exchange [D4] with both ledgers held by the caller; the
-  // generator's simulated decrease becomes a Trigger follow-up.
+  // Remote exchange [D4] with both ledgers held by the caller.  The
+  // generator's d_j(j) dropped, so its flag is set; the caller queues
+  // the simulated decrease as a Trigger once the locks are released.
   void remote_exchange_locked(Shard& sh, std::uint32_t p, std::uint32_t j) {
-    System::count_event(sys_.m_.borrow_remote);
-    Ledger& debtor = sys_.procs_[p].ledger;
-    Ledger& generator = sys_.procs_[j].ledger;
-    const std::int64_t x = std::min(generator.d(j), debtor.borrowed_total());
-    DLB_ENSURE(x >= 1, "remote exchange with nothing to exchange");
-    generator.remove_real(j, x);
+    sys_.exchange_packets(p, j, sh.costs);
     may_fire(j) = 1;
-    debtor.add_real(j, x);
-    sh.costs.record_migration(j, p, static_cast<std::uint64_t>(x));
-    sh.costs.record_net_migration(static_cast<std::uint64_t>(x));
-    std::int64_t to_clear = x;
-    if (debtor.b(j) > 0) {
-      debtor.clear_marker(j);
-      --to_clear;
-    }
-    while (to_clear > 0) {
-      debtor.clear_marker(debtor.nth_marked(0));
-      --to_clear;
-    }
-    System::count_event(sys_.m_.decrease_sim);
   }
 
   // Debt settlement + borrow retry (the deferred form of the sequential

@@ -74,8 +74,8 @@ TEST(SharedWorkload, ConcurrentSamplingIsRaceFreeAndDeterministic) {
 TEST(SharedLedger, ConcurrentConstReadsAreRaceFree) {
   Ledger ledger(256);
   for (std::uint32_t j = 0; j < 256; j += 3) ledger.add_real(j, j + 1);
-  ledger.borrow(3);
-  ledger.borrow(9);
+  ASSERT_EQ(ledger.borrow_nth(1), 3u);  // borrowable: 0, 3, 6, 9, ...
+  ASSERT_EQ(ledger.borrow_nth(2), 9u);  // now 0, 6, 9, ...
   const Ledger& shared = ledger;
 
   constexpr int kThreads = 4;

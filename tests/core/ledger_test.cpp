@@ -17,6 +17,24 @@ std::vector<std::uint32_t> active_list(const Ledger& ledger) {
   return {active.begin(), active.end()};
 }
 
+// The classes with b > 0, ascending (L4), read off the compact views.
+std::vector<std::uint32_t> marked_list(const Ledger& ledger) {
+  std::vector<std::uint32_t> marked;
+  for (std::size_t i = 0; i < ledger.active_classes().size(); ++i)
+    if (ledger.active_b()[i] != 0) marked.push_back(ledger.active_classes()[i]);
+  return marked;
+}
+
+// Rebuilds the ledger from dense rows through rebuild_dealt (stride 1),
+// as checkpoint restore does: every class is a column, so the list
+// covers whatever is active.
+void rebuild_from_dense(Ledger& ledger, const std::vector<std::int64_t>& d,
+                        const std::vector<std::int64_t>& b) {
+  std::vector<std::uint32_t> cls(ledger.classes());
+  for (std::uint32_t j = 0; j < ledger.classes(); ++j) cls[j] = j;
+  ledger.rebuild_dealt(cls.data(), cls.size(), d.data(), b.data(), 1, 0);
+}
+
 TEST(Ledger, StartsEmpty) {
   Ledger ledger(4);
   EXPECT_EQ(ledger.classes(), 4u);
@@ -49,7 +67,7 @@ TEST(Ledger, RemoveMoreThanHeldThrows) {
 TEST(Ledger, BorrowConvertsRealIntoMarker) {
   Ledger ledger(3);
   ledger.add_real(1, 2);
-  ledger.borrow(1);
+  ASSERT_EQ(ledger.borrow_nth(0), 1u);
   EXPECT_EQ(ledger.d(1), 1);
   EXPECT_EQ(ledger.b(1), 1);
   EXPECT_EQ(ledger.real_load(), 1);
@@ -61,16 +79,16 @@ TEST(Ledger, BorrowConvertsRealIntoMarker) {
 
 TEST(Ledger, BorrowRequiresRealPacketAndNoExistingMarker) {
   Ledger ledger(2);
-  EXPECT_THROW(ledger.borrow(0), contract_error);  // no packet
+  EXPECT_THROW(ledger.borrow_nth(0), contract_error);  // no packet
   ledger.add_real(0, 2);
-  ledger.borrow(0);
-  EXPECT_THROW(ledger.borrow(0), contract_error);  // marker already set
+  ASSERT_EQ(ledger.borrow_nth(0), 0u);
+  EXPECT_THROW(ledger.borrow_nth(0), contract_error);  // marker already set
 }
 
 TEST(Ledger, ClearMarker) {
   Ledger ledger(2);
   ledger.add_real(1, 1);
-  ledger.borrow(1);
+  ASSERT_EQ(ledger.borrow_nth(0), 1u);
   ledger.clear_marker(1);
   EXPECT_EQ(ledger.b(1), 0);
   EXPECT_EQ(ledger.borrowed_total(), 0);
@@ -80,17 +98,17 @@ TEST(Ledger, ClearMarker) {
 TEST(Ledger, RepayWithGeneration) {
   Ledger ledger(2);
   ledger.add_real(1, 1);
-  ledger.borrow(1);
-  ledger.repay_with_generation(1);
+  ASSERT_EQ(ledger.borrow_nth(0), 1u);
+  ASSERT_EQ(ledger.repay_nth_marked(0), 1u);
   EXPECT_EQ(ledger.b(1), 0);
   EXPECT_EQ(ledger.d(1), 1);
   EXPECT_EQ(ledger.real_load(), 1);
-  EXPECT_THROW(ledger.repay_with_generation(1), contract_error);
+  EXPECT_THROW(ledger.repay_nth_marked(0), contract_error);
 }
 
 TEST(Ledger, ReplaceRecomputesSums) {
   Ledger ledger(3);
-  ledger.replace({1, 2, 3}, {0, 1, 0});
+  rebuild_from_dense(ledger, {1, 2, 3}, {0, 1, 0});
   EXPECT_EQ(ledger.real_load(), 6);
   EXPECT_EQ(ledger.borrowed_total(), 1);
   EXPECT_EQ(ledger.virtual_load(), 7);
@@ -99,10 +117,17 @@ TEST(Ledger, ReplaceRecomputesSums) {
 
 TEST(Ledger, ReplaceValidatesShapeAndSign) {
   Ledger ledger(2);
-  EXPECT_THROW(ledger.replace({1}, {0, 0}), contract_error);
-  EXPECT_THROW(ledger.replace({-1, 0}, {0, 0}), contract_error);
-  EXPECT_THROW(ledger.replace({0, 0}, {0, -2}), contract_error);
-  EXPECT_THROW(ledger.replace({0, 0}, {0, 2}), contract_error);  // L2
+  ledger.add_real(0, 1);
+  ledger.add_real(1, 1);
+  // Fewer columns than active classes: rejected before any write.
+  const std::uint32_t one_class[] = {1};
+  const std::int64_t one_d[] = {1};
+  EXPECT_THROW(ledger.rebuild_dealt(one_class, 1, one_d, nullptr, 1, 0),
+               contract_error);
+  EXPECT_THROW(rebuild_from_dense(ledger, {-1, 0}, {0, 0}), contract_error);
+  EXPECT_THROW(rebuild_from_dense(ledger, {0, 0}, {0, -2}), contract_error);
+  // L2: at most one marker per class.
+  EXPECT_THROW(rebuild_from_dense(ledger, {0, 0}, {0, 2}), contract_error);
 }
 
 TEST(Ledger, RebuildDealtRequiresSupersetOfActive) {
@@ -125,7 +150,7 @@ TEST(Ledger, RebuildDealtRequiresSupersetOfActive) {
   EXPECT_EQ(ledger.d(4), 2);
   EXPECT_EQ(ledger.real_load(), 7);
   EXPECT_EQ(ledger.borrowed_total(), 1);
-  EXPECT_EQ(ledger.marked_classes(), (std::vector<std::uint32_t>{2}));
+  EXPECT_EQ(marked_list(ledger), (std::vector<std::uint32_t>{2}));
   ledger.check(1);
   // Omitting an active class (2 still holds a marker) breaks the
   // superset precondition; with fewer classes than active entries the
@@ -146,7 +171,7 @@ TEST(Ledger, RebuildDealtRequiresSupersetOfActive) {
   EXPECT_EQ(none.b, 0);
   EXPECT_EQ(active_list(ledger), (std::vector<std::uint32_t>{2, 4}));
   EXPECT_EQ(ledger.borrowed_total(), 0);
-  EXPECT_TRUE(ledger.marked_classes().empty());
+  EXPECT_TRUE(marked_list(ledger).empty());
   ledger.check(0);
 }
 
@@ -185,7 +210,7 @@ TEST(Ledger, FirstMarkedClass) {
   Ledger ledger(4);
   EXPECT_THROW(ledger.nth_marked(0), contract_error);
   ledger.add_real(2, 1);
-  ledger.borrow(2);
+  ASSERT_EQ(ledger.borrow_nth(0), 2u);
   EXPECT_EQ(ledger.nth_marked(0), 2u);
 }
 
@@ -196,7 +221,7 @@ TEST(Ledger, PositionalOpsRejectOutOfRangeIndex) {
   EXPECT_THROW(ledger.borrow_nth(0), contract_error);
   ledger.add_real(2, 1);
   ledger.add_real(5, 1);
-  ledger.borrow(5);
+  ASSERT_EQ(ledger.borrow_nth(1), 5u);
   // One marked class (5) and one borrowable class (2).
   EXPECT_THROW(ledger.nth_marked(1), contract_error);
   EXPECT_THROW(ledger.repay_nth_marked(1), contract_error);
@@ -211,7 +236,7 @@ TEST(Ledger, PositionalOpsRejectOutOfRangeIndex) {
 
 TEST(Ledger, CheckDetectsCapViolation) {
   Ledger ledger(3);
-  ledger.replace({0, 0, 0}, {1, 1, 1});
+  rebuild_from_dense(ledger, {0, 0, 0}, {1, 1, 1});
   EXPECT_THROW(ledger.check(2), contract_error);
   ledger.check(3);
 }
@@ -219,7 +244,7 @@ TEST(Ledger, CheckDetectsCapViolation) {
 TEST(Ledger, OutOfRangeClassThrows) {
   Ledger ledger(2);
   EXPECT_THROW(ledger.add_real(2, 1), contract_error);
-  EXPECT_THROW(ledger.borrow(5), contract_error);
+  EXPECT_THROW(ledger.remove_real(5, 0), contract_error);
 }
 
 // ---- Sparse-storage property test --------------------------------------
@@ -229,17 +254,19 @@ TEST(Ledger, OutOfRangeClassThrows) {
 // vectors updated alongside every mutation) and checks the full ledger
 // surface against it after every step:
 //   - d(j)/b(j) point lookups, real/borrowed/virtual totals (L1, L2);
-//   - active_classes()/marked_classes() order and content (L3, L4),
+//   - the active and marked class lists' order and content (L3, L4),
 //     and the positional views nth_marked(k)/borrowable();
 //   - the parallel count vectors active_d()/active_b() and the dense
 //     materializations dense_d()/dense_b();
 //   - Ledger::check, which verifies the storage invariants S1/S2 (no
 //     zero entries, strictly ascending keys, parallel shapes).
-// Exercises every mutator: add/remove/borrow/clear (settle)/repay, the
-// positional borrow_nth/repay_nth_marked, set_d/set_b/replace, the
-// general merge write-back apply_dealt with random ascending class
-// subsets, and the balance-deal write-back rebuild_dealt with random
-// supersets of the active list.
+// Exercises every mutator: add/remove (including absolute count
+// assignments made of them), clear (settle), the positional
+// borrow_nth/repay_nth_marked — both for a drawn class and for a drawn
+// index — and rebuild_dealt: the restore shape (stride 1 over every
+// class) for single-marker writes, wholesale replacements and random
+// ascending class subsets, and the balance-deal shape (a strided matrix
+// row over a random superset of the active list).
 
 struct DenseReference {
   std::vector<std::int64_t> d;
@@ -277,7 +304,7 @@ void expect_matches_reference(const Ledger& ledger,
   EXPECT_EQ(ledger.borrowed_total(), borrowed);
   EXPECT_EQ(ledger.virtual_load(), real + borrowed);
   EXPECT_EQ(active_list(ledger), want_active);
-  EXPECT_EQ(ledger.marked_classes(), want_marked);
+  EXPECT_EQ(marked_list(ledger), want_marked);
   // L4: one marked class per marker, indexed in ascending order.
   ASSERT_EQ(want_marked.size(), static_cast<std::size_t>(borrowed));
   for (std::size_t k = 0; k < want_marked.size(); ++k)
@@ -324,7 +351,11 @@ TEST(LedgerProperty, SparseStorageTracksDenseReferenceUnderRandomOps) {
       case 2:
         if (ledger.d(j) > 0 && ledger.b(j) == 0 &&
             ledger.borrowed_total() < kCap) {
-          ledger.borrow(j);
+          // Borrow class j: its index among the borrowable classes.
+          std::size_t index = 0;
+          for (std::uint32_t c = 0; c < j; ++c)
+            if (ref.d[c] > 0 && ref.b[c] == 0) ++index;
+          ASSERT_EQ(ledger.borrow_nth(index), j);
           ref.d[j] -= 1;
           ref.b[j] += 1;
         }
@@ -337,26 +368,39 @@ TEST(LedgerProperty, SparseStorageTracksDenseReferenceUnderRandomOps) {
         break;
       case 4:
         if (ledger.b(j) > 0) {
-          ledger.repay_with_generation(j);
+          // Repay class j: its index among the marked classes.
+          std::size_t index = 0;
+          for (std::uint32_t c = 0; c < j; ++c)
+            if (ref.b[c] > 0) ++index;
+          ASSERT_EQ(ledger.repay_nth_marked(index), j);
           ref.b[j] -= 1;
           ref.d[j] += 1;
         }
         break;
       case 5: {
+        // Absolute d assignment as one add_real or remove_real (count 0
+        // included, which leaves the entries as they are).
         const auto v = static_cast<std::int64_t>(rng.below(4));
-        ledger.set_d(j, v);
+        const std::int64_t held = ledger.d(j);
+        if (v >= held) {
+          ledger.add_real(j, v - held);
+        } else {
+          ledger.remove_real(j, held - v);
+        }
         ref.d[j] = v;
         break;
       }
       case 6: {
+        // Absolute b assignment: the reference's rows with one marker
+        // set or cleared, written back in one rebuild.
         const std::int64_t v =
             ledger.b(j) == 0 && ledger.borrowed_total() < kCap ? 1 : 0;
-        ledger.set_b(j, v);
         ref.b[j] = v;
+        rebuild_from_dense(ledger, ref.d, ref.b);
         break;
       }
       case 7: {
-        // Full replace with a fresh random state (test/restore path).
+        // Full replace with a fresh random state (the restore path).
         DenseReference next(kClasses);
         std::int64_t markers = 0;
         for (std::uint32_t c = 0; c < kClasses; ++c) {
@@ -366,36 +410,27 @@ TEST(LedgerProperty, SparseStorageTracksDenseReferenceUnderRandomOps) {
             ++markers;
           }
         }
-        ledger.replace(next.d, next.b);
+        rebuild_from_dense(ledger, next.d, next.b);
         ref = next;
         break;
       }
       case 8: {
-        // Balancing write-back over a random ascending class subset,
-        // including zero assignments (entry drops) and absent classes
-        // (entry inserts) — the sparse merge path's full case space.
-        std::vector<std::uint32_t> cls;
-        std::vector<std::int64_t> d_vals;
-        std::vector<std::int64_t> b_vals;
+        // Write-back over a random ascending class subset, including
+        // zero assignments (entry drops) and absent classes (entry
+        // inserts); the classes outside the subset keep their counts.
         std::int64_t budget = kCap - ref.borrowed();
         for (std::uint32_t c = 0; c < kClasses; ++c) {
           if (rng.below(3) != 0) continue;
-          cls.push_back(c);
-          d_vals.push_back(static_cast<std::int64_t>(rng.below(4)));
+          ref.d[c] = static_cast<std::int64_t>(rng.below(4));
           budget += ref.b[c];  // c's old marker is overwritten
           if (budget > 0 && rng.below(4) == 0) {
-            b_vals.push_back(1);
+            ref.b[c] = 1;
             --budget;
           } else {
-            b_vals.push_back(0);
+            ref.b[c] = 0;
           }
         }
-        ledger.apply_dealt(cls.data(), cls.size(), d_vals.data(),
-                           b_vals.data());
-        for (std::size_t i = 0; i < cls.size(); ++i) {
-          ref.d[cls[i]] = d_vals[i];
-          ref.b[cls[i]] = b_vals[i];
-        }
+        rebuild_from_dense(ledger, ref.d, ref.b);
         break;
       }
       case 9: {
@@ -475,14 +510,14 @@ TEST(LedgerProperty, SparseStorageTracksDenseReferenceUnderRandomOps) {
 
 TEST(LedgerProperty, FirstMarkedClassMatchesMarkedListHead) {
   Ledger ledger(8);
-  EXPECT_TRUE(ledger.marked_classes().empty());
+  EXPECT_TRUE(marked_list(ledger).empty());
   ledger.add_real(5, 2);
   ledger.add_real(2, 1);
-  ledger.borrow(5);
+  ASSERT_EQ(ledger.borrow_nth(1), 5u);
   EXPECT_EQ(ledger.nth_marked(0), 5u);
-  ledger.borrow(2);
+  ASSERT_EQ(ledger.borrow_nth(0), 2u);
   EXPECT_EQ(ledger.nth_marked(0), 2u);
-  EXPECT_EQ(ledger.nth_marked(0), ledger.marked_classes().front());
+  EXPECT_EQ(ledger.nth_marked(0), marked_list(ledger).front());
   ledger.clear_marker(2);
   EXPECT_EQ(ledger.nth_marked(0), 5u);
   ledger.clear_marker(5);
