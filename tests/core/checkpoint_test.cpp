@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "support/check.hpp"
@@ -151,6 +152,31 @@ TEST(Checkpoint, ReadsDenseVersion1) {
             (std::vector<std::uint32_t>{1}));
 }
 
+// A version-2 checkpoint of four processors (delta 1, C = 2, nothing
+// generated or consumed) whose processor 0 has the ledger line `ledger0`
+// (entry count, then class d b triples); the others are empty.
+std::string v2_checkpoint(const std::string& ledger0) {
+  std::ostringstream os;
+  os << "dlb-checkpoint 2\n";
+  os << "4 1 2 0\n";
+  os.precision(17);
+  os << std::hexfloat << 1.5 << std::defaultfloat << '\n';
+  const auto rng_state = Rng(7).state();
+  os << rng_state[0] << ' ' << rng_state[1] << ' ' << rng_state[2] << ' '
+     << rng_state[3] << '\n';
+  os << "0 0 0\n";        // generated consumed balance_ops
+  os << "0 0 0 0 0 0\n";  // cost totals
+  os << "-1\n";           // no partner radius
+  os << "0 0 " << ledger0 << '\n';
+  for (int p = 1; p < 4; ++p) os << "0 0 0\n\n";
+  return os.str();
+}
+
+System load_text(const std::string& text) {
+  std::istringstream is(text);
+  return load_checkpoint(is);
+}
+
 TEST(Checkpoint, RejectsGarbage) {
   std::stringstream not_a_checkpoint("hello world");
   EXPECT_THROW(load_checkpoint(not_a_checkpoint), contract_error);
@@ -158,6 +184,21 @@ TEST(Checkpoint, RejectsGarbage) {
   EXPECT_THROW(load_checkpoint(wrong_version), contract_error);
   std::stringstream truncated("dlb-checkpoint 1\n4 2 3 0\n");
   EXPECT_THROW(load_checkpoint(truncated), contract_error);
+  // Ledger lines at the trust boundary.  The control holds C markers and
+  // no real load, so it restores; each bad line keeps the real load at 0
+  // and breaks exactly one rule.
+  const System control = load_text(v2_checkpoint("2\n1 0 1 3 0 1"));
+  EXPECT_EQ(control.processor(0).ledger.borrowed_total(), 2);
+  EXPECT_THROW(load_text(v2_checkpoint("2\n3 0 1 1 0 1")),
+               contract_error);  // descending classes
+  EXPECT_THROW(load_text(v2_checkpoint("1\n4 0 1")),
+               contract_error);  // class >= n
+  EXPECT_THROW(load_text(v2_checkpoint("2\n1 -1 0 2 1 0")),
+               contract_error);  // negative d
+  EXPECT_THROW(load_text(v2_checkpoint("1\n1 0 2")),
+               contract_error);  // b = 2
+  EXPECT_THROW(load_text(v2_checkpoint("3\n0 0 1 1 0 1 3 0 1")),
+               contract_error);  // more markers than C
 }
 
 TEST(Checkpoint, ExactDoubleRoundTrip) {
