@@ -485,7 +485,7 @@ void LocalTransport::send(int dest, int tag, const std::int64_t* words,
   MpMessage msg;
   msg.source = rank_;
   msg.tag = tag;
-  msg.payload.assign(words, count, &world_->payload_pool_);
+  msg.payload.assign(words, count);
   world_->post(dest, std::move(msg));
 }
 

@@ -98,9 +98,8 @@ class Comm {
   int size() const;
 
   /// Sends `words` to `dest` with `tag`; never blocks (buffered).  The
-  /// payload is built in place — inline when it fits, else into a spill
-  /// buffer drawn from the world's recycling pool — so steady-state
-  /// sends never touch the allocator.
+  /// payload is built in place, inline up to MpPayload::kInlineWords
+  /// words, so protocol sends never touch the allocator.
   void send(int dest, int tag, std::initializer_list<std::int64_t> words);
   /// Same, from an array (for payloads whose width is only known at
   /// runtime).
@@ -211,10 +210,6 @@ class World {
   /// launch is running.  May be null (detach); not owned.
   void attach_metrics(obs::MetricsRegistry* registry);
 
-  /// Spill-buffer recycling pool for oversized payloads (tests observe
-  /// reuse through its stats; see mp/payload.hpp).
-  const PayloadPool& payload_pool() const { return payload_pool_; }
-
   /// Fault accounting of the most recent launch().
   FaultStats fault_stats() const;
   /// Crash journal of the most recent launch() (valid after it returns).
@@ -272,7 +267,6 @@ class World {
   int size_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   CollectiveState collective_;
-  PayloadPool payload_pool_;  // spill-buffer recycling for all ranks
 
   FaultPlan plan_;
   bool faults_armed_ = false;

@@ -46,7 +46,7 @@ void FaultyTransport::send(int dest, int tag, const std::int64_t* words,
   if (decision.delay) {
     link.held.emplace();
     link.held->tag = tag;
-    link.held->payload.assign(words, count, nullptr);
+    link.held->payload.assign(words, count);
     count_fault(&FaultStats::messages_delayed, sink_.delayed);
     if (release)
       inner_.send(dest, release->tag, release->payload.data(),
@@ -69,7 +69,7 @@ void FaultyTransport::discard(int tag, const std::int64_t* words,
   MpMessage msg;
   msg.source = inner_.rank();
   msg.tag = tag;
-  msg.payload.assign(words, count, nullptr);
+  msg.payload.assign(words, count);
   std::lock_guard<std::mutex> lock(*sink_.mutex);
   sink_.discarded->push_back(std::move(msg));
 }

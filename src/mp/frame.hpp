@@ -167,23 +167,22 @@ inline Decoded decode(const std::uint8_t* data, std::size_t len) {
   return d;
 }
 
-/// Copies a decoded frame's words into a payload (pooled when `pool`
-/// is given).  Kept out of decode() so header-only peeks stay free.
-inline void read_words(const Decoded& d, MpPayload& payload,
-                       PayloadPool* pool) {
+/// Copies a decoded frame's words into a payload.  Kept out of decode()
+/// so header-only peeks stay free.
+inline void read_words(const Decoded& d, MpPayload& payload) {
   // Words are 8-byte little-endian but possibly unaligned in the rx
   // buffer; stage through a small stack array for the aligned assign.
   std::int64_t stack[MpPayload::kInlineWords];
   if (d.header.words <= MpPayload::kInlineWords) {
     for (std::uint32_t i = 0; i < d.header.words; ++i)
       stack[i] = static_cast<std::int64_t>(get_u64(d.words + i * 8));
-    payload.assign(stack, d.header.words, pool);
+    payload.assign(stack, d.header.words);
     return;
   }
   std::vector<std::int64_t> heap(d.header.words);
   for (std::uint32_t i = 0; i < d.header.words; ++i)
     heap[i] = static_cast<std::int64_t>(get_u64(d.words + i * 8));
-  payload.assign(heap.data(), d.header.words, pool);
+  payload.assign(heap.data(), d.header.words);
 }
 
 }  // namespace frame

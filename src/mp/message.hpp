@@ -7,7 +7,7 @@
 
 namespace dlb {
 
-/// A point-to-point message: a few 64-bit words, stored inline (pooled
+/// A point-to-point message: a few 64-bit words, stored inline (heap
 /// spill beyond MpPayload::kInlineWords — see mp/payload.hpp).  Exactly
 /// one cache line, so mailbox slots recycle without touching the heap.
 struct MpMessage {

@@ -1,32 +1,19 @@
-// Small-buffer message payload with pooled spill storage.
+// Small-buffer message payload.
 //
 // The paper's protocol messages carry a handful of 64-bit words
 // (Invite/Accept/Assign are 1–3 words), yet MpMessage used to hold a
 // std::vector — one heap allocation per send and one free per receive,
 // pure allocator overhead on the transport hot path.  MpPayload stores
 // up to kInlineWords words inline (sizeof(MpMessage) is exactly one
-// cache line) and spills larger payloads into PayloadPool buffers that
-// are recycled through a free list instead of returned to the heap, so
-// in steady state send/recv/drain never touch the allocator — inline
-// payloads by construction, oversized ones after the pool has warmed to
-// the live high-water count (DESIGN.md §11).
-//
-// Ownership: a spill buffer carries a back-pointer to the pool that
-// issued it, so a payload can be destroyed on any thread after the
-// issuing Comm went out of scope — the buffer finds its way home (the
-// pool outlives all payloads, being owned by the World).  A payload
-// built without a pool (e.g. a test literal wider than the inline
-// capacity) spills to a plain heap buffer and frees it on drop.
-//
-// The pool is mutex-guarded: spills are the rare path (no production
-// message exceeds the inline capacity), and correctness beats a
-// lock-free list nobody contends on.
+// cache line), so send/recv/drain of every production message — the
+// widest, a transaction message, is 3 words — never touch the allocator
+// (DESIGN.md §11).  A wider payload (a test literal, a hand-built
+// frame) spills to a plain heap buffer that it frees on drop.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <mutex>
 #include <new>
 #include <vector>
 
@@ -34,122 +21,45 @@
 
 namespace dlb {
 
-class PayloadPool;
-
 namespace detail {
 /// Header of a spilled payload buffer; the words follow it in the same
 /// allocation (8-aligned: the header is a multiple of 8 bytes).
 struct SpillBuf {
-  PayloadPool* pool;       // home free list; nullptr = plain heap
-  std::uint32_t capacity;  // in words
-  SpillBuf* next;          // free-list link (meaningful only when free)
+  std::uint64_t capacity;  // in words
 
   std::int64_t* words() { return reinterpret_cast<std::int64_t*>(this + 1); }
   const std::int64_t* words() const {
     return reinterpret_cast<const std::int64_t*>(this + 1);
   }
 
-  static SpillBuf* make(std::uint32_t capacity, PayloadPool* pool) {
+  static SpillBuf* make(std::uint32_t capacity) {
     void* raw =
         ::operator new(sizeof(SpillBuf) + capacity * sizeof(std::int64_t));
     SpillBuf* buf = static_cast<SpillBuf*>(raw);
-    buf->pool = pool;
     buf->capacity = capacity;
-    buf->next = nullptr;
     return buf;
   }
-  static void free_plain(SpillBuf* buf) { ::operator delete(buf); }
+  static void free(SpillBuf* buf) { ::operator delete(buf); }
 };
 }  // namespace detail
 
-/// Free list of spill buffers, owned by the transport (mp::World).
-class PayloadPool {
- public:
-  PayloadPool() = default;
-  ~PayloadPool() {
-    detail::SpillBuf* buf = free_;
-    while (buf != nullptr) {
-      detail::SpillBuf* next = buf->next;
-      detail::SpillBuf::free_plain(buf);
-      buf = next;
-    }
-  }
-  PayloadPool(const PayloadPool&) = delete;
-  PayloadPool& operator=(const PayloadPool&) = delete;
-
-  /// Reuse accounting, for tests and the pool-health gauge.
-  struct Stats {
-    std::uint64_t created = 0;   // buffers newly heap-allocated
-    std::uint64_t reused = 0;    // acquisitions served from the free list
-    std::uint64_t returned = 0;  // buffers released back to the list
-  };
-  Stats stats() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
-  }
-
-  /// Buffers currently parked on the free list.
-  std::size_t free_count() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t n = 0;
-    for (detail::SpillBuf* b = free_; b != nullptr; b = b->next) ++n;
-    return n;
-  }
-
- private:
-  friend class MpPayload;
-
-  detail::SpillBuf* acquire(std::uint32_t min_words) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      detail::SpillBuf** link = &free_;
-      while (*link != nullptr) {
-        if ((*link)->capacity >= min_words) {
-          detail::SpillBuf* buf = *link;
-          *link = buf->next;
-          buf->next = nullptr;
-          ++stats_.reused;
-          return buf;
-        }
-        link = &(*link)->next;
-      }
-      ++stats_.created;
-    }
-    std::uint32_t capacity = 8;
-    while (capacity < min_words) capacity *= 2;
-    return detail::SpillBuf::make(capacity, this);
-  }
-
-  void release(detail::SpillBuf* buf) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    buf->next = free_;
-    free_ = buf;
-    ++stats_.returned;
-  }
-
-  mutable std::mutex mutex_;
-  detail::SpillBuf* free_ = nullptr;
-  Stats stats_;
-};
-
 /// The payload of one point-to-point message: a short array of 64-bit
-/// words, inline up to kInlineWords, pooled-spill beyond.
+/// words, inline up to kInlineWords, heap-spilled beyond.
 class MpPayload {
  public:
   static constexpr std::uint32_t kInlineWords = 6;
 
   MpPayload() = default;
   MpPayload(std::initializer_list<std::int64_t> words) {
-    assign(words.begin(), words.size(), nullptr);
+    assign(words.begin(), words.size());
   }
-  MpPayload(const std::int64_t* words, std::size_t count,
-            PayloadPool* pool = nullptr) {
-    assign(words, count, pool);
+  MpPayload(const std::int64_t* words, std::size_t count) {
+    assign(words, count);
   }
 
-  MpPayload(const MpPayload& o) { assign(o.data(), o.size(), o.home_pool()); }
+  MpPayload(const MpPayload& o) { assign(o.data(), o.size()); }
   MpPayload& operator=(const MpPayload& o) {
-    if (this != &o) assign(o.data(), o.size(), o.home_pool());
+    if (this != &o) assign(o.data(), o.size());
     return *this;
   }
 
@@ -172,23 +82,17 @@ class MpPayload {
 
   ~MpPayload() { drop(); }
 
-  /// Replaces the contents.  Reuses the current storage when it fits
-  /// (regardless of `pool`); otherwise draws a spill buffer from `pool`
-  /// (plain heap when null).  The buffer returns to *its own* pool on
-  /// drop, so mixing pools across assigns is safe.
-  void assign(const std::int64_t* words, std::size_t count,
-              PayloadPool* pool) {
+  /// Replaces the contents.  Reuses the current storage when it fits;
+  /// otherwise allocates a spill buffer (the next power of two >= 8
+  /// words).
+  void assign(const std::int64_t* words, std::size_t count) {
     DLB_REQUIRE(count <= UINT32_MAX, "payload too large");
     const auto n = static_cast<std::uint32_t>(count);
     if (n > capacity()) {
       drop();
-      u_.spill = pool != nullptr
-                     ? pool->acquire(n)
-                     : [&] {
-                         std::uint32_t cap = 8;
-                         while (cap < n) cap *= 2;
-                         return detail::SpillBuf::make(cap, nullptr);
-                       }();
+      std::uint32_t cap = 8;
+      while (cap < n) cap *= 2;
+      u_.spill = detail::SpillBuf::make(cap);
       spilled_ = 1;
     }
     std::int64_t* dst = mutable_data();
@@ -203,7 +107,8 @@ class MpPayload {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   std::uint32_t capacity() const {
-    return spilled_ ? u_.spill->capacity : kInlineWords;
+    return spilled_ ? static_cast<std::uint32_t>(u_.spill->capacity)
+                    : kInlineWords;
   }
   bool spilled() const { return spilled_ != 0; }
 
@@ -218,16 +123,12 @@ class MpPayload {
   const std::int64_t* end() const { return data() + size_; }
 
  private:
-  PayloadPool* home_pool() const { return spilled_ ? u_.spill->pool : nullptr; }
   std::int64_t* mutable_data() {
     return spilled_ ? u_.spill->words() : u_.inline_words;
   }
   void drop() {
     if (spilled_) {
-      if (u_.spill->pool != nullptr)
-        u_.spill->pool->release(u_.spill);
-      else
-        detail::SpillBuf::free_plain(u_.spill);
+      detail::SpillBuf::free(u_.spill);
       spilled_ = 0;
     }
     size_ = 0;

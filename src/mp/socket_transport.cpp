@@ -327,7 +327,7 @@ void SocketTransport::send(int dest, int tag, const std::int64_t* words,
     MpMessage msg;
     msg.source = rank_;
     msg.tag = tag;
-    msg.payload.assign(words, count, &pool_);
+    msg.payload.assign(words, count);
     inbox_.push_back(std::move(msg));
     if (m_sent_ != nullptr) {
       m_sent_->add();
@@ -418,7 +418,7 @@ void SocketTransport::ingest(int peer_rank) {
         MpMessage msg;
         msg.source = peer_rank;  // the link identifies the sender
         msg.tag = d.header.tag;
-        frame::read_words(d, msg.payload, &pool_);
+        frame::read_words(d, msg.payload);
         inbox_.push_back(std::move(msg));
         const std::uint64_t seq = p.rx_seq++;
         ++data_frames;

@@ -170,7 +170,6 @@ class SocketTransport : public Transport {
   std::string listen_path_;  // unlinked on close (unix socket / port file)
   std::vector<Peer> peers_;  // indexed by rank; self slot unused
   RingQueue<MpMessage> inbox_;  // decoded Data frames, arrival order
-  PayloadPool pool_;            // spill recycling for oversized payloads
   std::vector<std::uint8_t> encode_scratch_;
   std::chrono::steady_clock::time_point last_beat_{};
 

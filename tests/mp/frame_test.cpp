@@ -37,7 +37,7 @@ TEST(FrameTest, RoundtripInlinePayload) {
   EXPECT_EQ(d.header.tag, 17);
   ASSERT_EQ(d.header.words, words.size());
   MpPayload payload;
-  frame::read_words(d, payload, nullptr);
+  frame::read_words(d, payload);
   for (std::size_t i = 0; i < words.size(); ++i)
     EXPECT_EQ(payload[i], words[i]);
 }
@@ -49,9 +49,8 @@ TEST(FrameTest, RoundtripSpillPayloadAndNegativeValues) {
   const auto d = frame::decode(bytes.data(), bytes.size());
   ASSERT_EQ(d.status, frame::DecodeStatus::Ok);
   EXPECT_EQ(d.header.tag, -5);  // tags are signed through the u32 trip
-  PayloadPool pool;
   MpPayload payload;
-  frame::read_words(d, payload, &pool);
+  frame::read_words(d, payload);
   ASSERT_EQ(payload.size(), words.size());
   for (std::size_t i = 0; i < words.size(); ++i)
     EXPECT_EQ(payload[i], words[i]);

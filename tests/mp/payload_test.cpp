@@ -20,7 +20,7 @@ std::vector<std::int64_t> iota_words(std::size_t n) {
 
 TEST(MpPayloadTest, SmallPayloadsStayInline) {
   const auto words = iota_words(MpPayload::kInlineWords);
-  MpPayload p(words.data(), words.size(), nullptr);
+  MpPayload p(words.data(), words.size());
   EXPECT_FALSE(p.spilled());
   EXPECT_EQ(p.size(), words.size());
   EXPECT_TRUE(p == words);
@@ -31,14 +31,14 @@ TEST(MpPayloadTest, InlineAssignNeverAllocates) {
   MpPayload p;
   obs::AllocPhase phase;
   phase.rebase();
-  p.assign(words.data(), words.size(), nullptr);
+  p.assign(words.data(), words.size());
   EXPECT_EQ(phase.delta().count, 0u);
   EXPECT_FALSE(p.spilled());
 }
 
 TEST(MpPayloadTest, OversizedPayloadSpills) {
   const auto words = iota_words(MpPayload::kInlineWords + 1);
-  MpPayload p(words.data(), words.size(), nullptr);
+  MpPayload p(words.data(), words.size());
   EXPECT_TRUE(p.spilled());
   EXPECT_GE(p.capacity(), words.size());
   EXPECT_TRUE(p == words);
@@ -47,11 +47,11 @@ TEST(MpPayloadTest, OversizedPayloadSpills) {
 TEST(MpPayloadTest, AssignReusesSpillStorageInPlace) {
   const auto big = iota_words(12);
   const auto smaller = iota_words(9);
-  MpPayload p(big.data(), big.size(), nullptr);
+  MpPayload p(big.data(), big.size());
   const std::int64_t* storage = p.data();
   obs::AllocPhase phase;
   phase.rebase();
-  p.assign(smaller.data(), smaller.size(), nullptr);
+  p.assign(smaller.data(), smaller.size());
   EXPECT_EQ(phase.delta().count, 0u);
   EXPECT_EQ(p.data(), storage);
   EXPECT_TRUE(p == smaller);
@@ -59,7 +59,7 @@ TEST(MpPayloadTest, AssignReusesSpillStorageInPlace) {
 
 TEST(MpPayloadTest, ClearKeepsStorage) {
   const auto big = iota_words(10);
-  MpPayload p(big.data(), big.size(), nullptr);
+  MpPayload p(big.data(), big.size());
   const std::uint32_t cap = p.capacity();
   p.clear();
   EXPECT_TRUE(p.empty());
@@ -69,7 +69,7 @@ TEST(MpPayloadTest, ClearKeepsStorage) {
 
 TEST(MpPayloadTest, CopyAndMoveRoundTrip) {
   const auto big = iota_words(11);
-  MpPayload original(big.data(), big.size(), nullptr);
+  MpPayload original(big.data(), big.size());
   MpPayload copy(original);
   EXPECT_TRUE(copy == original);
   EXPECT_NE(copy.data(), original.data());  // deep copy
@@ -90,100 +90,8 @@ TEST(MpPayloadTest, EqualityComparesContents) {
   EXPECT_FALSE(a == c);
   EXPECT_FALSE(a == d);
   const auto big = iota_words(9);
-  MpPayload spilled(big.data(), big.size(), nullptr);
+  MpPayload spilled(big.data(), big.size());
   EXPECT_TRUE(spilled == big);  // inline/spill representation is invisible
-}
-
-TEST(PayloadPoolTest, SpillBuffersReturnHomeAndGetReused) {
-  PayloadPool pool;
-  const auto big = iota_words(10);
-  {
-    MpPayload p(big.data(), big.size(), &pool);
-    ASSERT_TRUE(p.spilled());
-    EXPECT_EQ(pool.stats().created, 1u);
-    EXPECT_EQ(pool.free_count(), 0u);
-  }
-  // Destroyed payload parked its buffer on the free list.
-  EXPECT_EQ(pool.stats().returned, 1u);
-  EXPECT_EQ(pool.free_count(), 1u);
-
-  // Steady state: the next spill is served from the list, allocation-free.
-  obs::AllocPhase phase;
-  phase.rebase();
-  {
-    MpPayload p(big.data(), big.size(), &pool);
-    EXPECT_TRUE(p.spilled());
-  }
-  EXPECT_EQ(phase.delta().count, 0u);
-  const PayloadPool::Stats stats = pool.stats();
-  EXPECT_EQ(stats.created, 1u);
-  EXPECT_EQ(stats.reused, 1u);
-  EXPECT_EQ(stats.returned, 2u);
-}
-
-TEST(PayloadPoolTest, GrowsToTheLiveHighWaterCount) {
-  // With k payloads alive at once the pool must create k buffers; after
-  // they all return, another burst of k is served entirely from the list.
-  PayloadPool pool;
-  const auto big = iota_words(10);
-  constexpr std::size_t kLive = 5;
-  {
-    std::vector<MpPayload> live;
-    live.reserve(kLive);
-    for (std::size_t i = 0; i < kLive; ++i)
-      live.emplace_back(big.data(), big.size(), &pool);
-    EXPECT_EQ(pool.stats().created, kLive);
-  }
-  EXPECT_EQ(pool.free_count(), kLive);
-  {
-    std::vector<MpPayload> live;
-    live.reserve(kLive);
-    for (std::size_t i = 0; i < kLive; ++i)
-      live.emplace_back(big.data(), big.size(), &pool);
-    const PayloadPool::Stats stats = pool.stats();
-    EXPECT_EQ(stats.created, kLive);  // no new buffers
-    EXPECT_EQ(stats.reused, kLive);
-  }
-}
-
-TEST(PayloadPoolTest, AcquireSkipsTooSmallBuffers) {
-  PayloadPool pool;
-  const auto small_spill = iota_words(10);   // capacity 16
-  const auto large_spill = iota_words(40);   // capacity 64
-  { MpPayload p(small_spill.data(), small_spill.size(), &pool); }
-  ASSERT_EQ(pool.free_count(), 1u);
-  // The parked 16-word buffer cannot serve a 40-word payload: a new one
-  // is created, and the small buffer stays on the list.
-  { MpPayload p(large_spill.data(), large_spill.size(), &pool); }
-  const PayloadPool::Stats stats = pool.stats();
-  EXPECT_EQ(stats.created, 2u);
-  EXPECT_EQ(stats.reused, 0u);
-  EXPECT_EQ(pool.free_count(), 2u);
-  // A later small payload may reuse either parked buffer (first fit).
-  { MpPayload p(small_spill.data(), small_spill.size(), &pool); }
-  EXPECT_EQ(pool.stats().reused, 1u);
-}
-
-TEST(PayloadPoolTest, CopyTargetsTheSourcesPool) {
-  // Copying a pooled payload draws the new buffer from the same pool,
-  // so copies made on the receive path stay pooled too.
-  PayloadPool pool;
-  const auto big = iota_words(10);
-  {
-    MpPayload original(big.data(), big.size(), &pool);
-    MpPayload copy(original);
-    EXPECT_TRUE(copy.spilled());
-    EXPECT_EQ(pool.stats().created, 2u);
-  }
-  EXPECT_EQ(pool.free_count(), 2u);
-}
-
-TEST(PayloadPoolTest, PoollessSpillsFreeToTheHeap) {
-  const auto big = iota_words(10);
-  MpPayload p(big.data(), big.size(), nullptr);
-  EXPECT_TRUE(p.spilled());
-  // Destruction must not crash (plain operator delete path); pool
-  // bookkeeping is untouched because there is no pool.
 }
 
 }  // namespace
