@@ -34,7 +34,10 @@ class JsonRows {
   class Row {
    public:
     Row& set(const std::string& key, const std::string& v) {
-      fields_.emplace_back(key, "\"" + obs::json_escape(v) + "\"");
+      std::string quoted(1, '"');
+      quoted += obs::json_escape(v);
+      quoted += '"';
+      fields_.emplace_back(key, std::move(quoted));
       return *this;
     }
     Row& set(const std::string& key, const char* v) {

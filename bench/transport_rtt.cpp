@@ -55,7 +55,9 @@ LegResult read_reported(const std::string& path) {
 
 void report_leg(const std::string& path, double us,
                 obs::MetricsRegistry& reg, int from) {
-  const std::string link = "mp.link." + std::to_string(from) + "->0";
+  std::string link = "mp.link.";
+  link += std::to_string(from);
+  link += "->0";
   std::ofstream(path) << us << " "
                       << reg.counter(link + ".messages").value() << " "
                       << reg.counter(link + ".bytes").value() << "\n";

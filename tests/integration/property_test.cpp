@@ -102,11 +102,18 @@ std::vector<PropertyCase> property_cases() {
 
 std::string case_name(const ::testing::TestParamInfo<PropertyCase>& ti) {
   const auto& p = ti.param;
-  std::string name = "n" + std::to_string(p.n) + "_f" +
-                     std::to_string(static_cast<int>(p.f * 10)) + "_d" +
-                     std::to_string(p.delta) + "_C" +
-                     std::to_string(p.borrow_cap) + "_" + p.workload + "_s" +
-                     std::to_string(p.seed);
+  std::string name = "n";
+  name += std::to_string(p.n);
+  name += "_f";
+  name += std::to_string(static_cast<int>(p.f * 10));
+  name += "_d";
+  name += std::to_string(p.delta);
+  name += "_C";
+  name += std::to_string(p.borrow_cap);
+  name += "_";
+  name += p.workload;
+  name += "_s";
+  name += std::to_string(p.seed);
   for (char& c : name)
     if (c == '-') c = '_';
   return name + (p.analysis_mode ? "_am" : "");
@@ -230,9 +237,15 @@ std::vector<LoadsCacheCase> loads_cache_cases() {
 std::string loads_cache_case_name(
     const ::testing::TestParamInfo<LoadsCacheCase>& ti) {
   const auto& p = ti.param;
-  std::string name = p.driver + "_n" + std::to_string(p.n) + "_C" +
-                     std::to_string(p.borrow_cap) + "_" + p.workload +
-                     "_s" + std::to_string(p.seed);
+  std::string name = p.driver;
+  name += "_n";
+  name += std::to_string(p.n);
+  name += "_C";
+  name += std::to_string(p.borrow_cap);
+  name += "_";
+  name += p.workload;
+  name += "_s";
+  name += std::to_string(p.seed);
   for (char& c : name)
     if (c == '-') c = '_';
   return name + (p.analysis_mode ? "_am" : "");

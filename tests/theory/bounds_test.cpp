@@ -172,9 +172,13 @@ INSTANTIATE_TEST_SUITE_P(
                       DecreaseCase{32, 2, 1.3}, DecreaseCase{64, 1, 1.4},
                       DecreaseCase{32, 4, 1.5}),
     [](const ::testing::TestParamInfo<DecreaseCase>& ti) {
-      return "n" + std::to_string(ti.param.n) + "_d" +
-             std::to_string(ti.param.delta) + "_f" +
-             std::to_string(static_cast<int>(ti.param.f * 10));
+      std::string name = "n";
+      name += std::to_string(ti.param.n);
+      name += "_d";
+      name += std::to_string(ti.param.delta);
+      name += "_f";
+      name += std::to_string(static_cast<int>(ti.param.f * 10));
+      return name;
     });
 
 }  // namespace

@@ -121,9 +121,13 @@ INSTANTIATE_TEST_SUITE_P(
                       EnumCase{5, 6, 1.3}, EnumCase{6, 5, 1.1},
                       EnumCase{9, 4, 1.8}),
     [](const ::testing::TestParamInfo<EnumCase>& ti) {
-      return "n" + std::to_string(ti.param.n) + "_t" +
-             std::to_string(ti.param.steps) + "_f" +
-             std::to_string(static_cast<int>(ti.param.f * 10));
+      std::string name = "n";
+      name += std::to_string(ti.param.n);
+      name += "_t";
+      name += std::to_string(ti.param.steps);
+      name += "_f";
+      name += std::to_string(static_cast<int>(ti.param.f * 10));
+      return name;
     });
 
 }  // namespace

@@ -137,10 +137,14 @@ INSTANTIATE_TEST_SUITE_P(
                       VarCase{16, 2, 1.1, false}, VarCase{10, 4, 1.2, false},
                       VarCase{16, 4, 1.2, true}),
     [](const ::testing::TestParamInfo<VarCase>& ti) {
-      return "n" + std::to_string(ti.param.n) + "_d" +
-             std::to_string(ti.param.delta) + "_f" +
-             std::to_string(static_cast<int>(ti.param.f * 10)) +
-             (ti.param.relaxed ? "_relaxed" : "");
+      std::string name = "n";
+      name += std::to_string(ti.param.n);
+      name += "_d";
+      name += std::to_string(ti.param.delta);
+      name += "_f";
+      name += std::to_string(static_cast<int>(ti.param.f * 10));
+      if (ti.param.relaxed) name += "_relaxed";
+      return name;
     });
 
 TEST(VariationMC, RequiresAtLeastTwoRuns) {
