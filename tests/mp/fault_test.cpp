@@ -447,6 +447,8 @@ TEST(FaultSoak, SameSeedSamePlanReproducesTheRun) {
   EXPECT_EQ(a.messages_dropped, b.messages_dropped);
   EXPECT_EQ(a.rounds_initiated, b.rounds_initiated);
   EXPECT_EQ(a.packets_shipped, b.packets_shipped);
+  EXPECT_EQ(a.recv_timeouts, b.recv_timeouts);
+  EXPECT_EQ(a.degraded_rounds, b.degraded_rounds);
   EXPECT_TRUE(a.conserved);
   EXPECT_TRUE(b.conserved);
 }
