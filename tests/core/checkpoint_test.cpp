@@ -201,6 +201,32 @@ TEST(Checkpoint, RejectsGarbage) {
                contract_error);  // more markers than C
 }
 
+// Restore rebuilds each ledger in one pass, which must leave the owner's
+// slot right whether the owner's class is in the saved line or not; the
+// owner's class then takes the one-load path of later events.
+TEST(Checkpoint, RestoresTheOwnerSlotWithOrWithoutItsClass) {
+  // Processor 0 holds a marker of its own class, and one of class 2.
+  System present = load_text(v2_checkpoint("2\n0 0 1 2 0 1"));
+  const Ledger& mine = present.processor(0).ledger;
+  EXPECT_EQ(mine.b(0), 1);
+  EXPECT_EQ(mine.d(0), 0);
+  EXPECT_EQ(mine.b(2), 1);
+  // Only a marker of class 2: the owner's class reads zero.
+  System absent = load_text(v2_checkpoint("1\n2 0 1"));
+  const Ledger& other = absent.processor(0).ledger;
+  EXPECT_EQ(other.d(0), 0);
+  EXPECT_EQ(other.b(0), 0);
+  EXPECT_EQ(other.b(2), 1);
+  // Later events go through the owner's slot (check_invariants verifies
+  // it on every ledger): generates repay markers or add own packets, and
+  // the triggers they fire deal them out.
+  for (System* sys : {&present, &absent}) {
+    for (int i = 0; i < 3; ++i) sys->generate(0);
+    sys->check_invariants();
+    EXPECT_EQ(sys->total_load(), 3);
+  }
+}
+
 TEST(Checkpoint, ExactDoubleRoundTrip) {
   // f is written in hexfloat: an "ugly" value must survive exactly.
   BalancerConfig c;

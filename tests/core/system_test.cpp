@@ -86,6 +86,31 @@ TEST(System, BalanceEqualizesParticipants) {
   sys.check_invariants();
 }
 
+// Partners are drawn at random, so a deal often takes in ledgers that
+// never held an entry; they read the shared sentinel and the in-place
+// merge walks them as empty rows.
+TEST(System, DealsTakeInEmptyLedgers) {
+  System sys(4, cfg(10.0, 3), 23);  // delta 3: every processor takes part
+  sys.force_balance(2);  // four empty ledgers: an empty union
+  EXPECT_EQ(sys.balance_operations(), 1u);
+  for (std::uint32_t p = 0; p < 4; ++p) {
+    EXPECT_TRUE(sys.processor(p).ledger.records().empty());
+    EXPECT_EQ(sys.processor(p).ledger.memory_bytes(), 0u);
+  }
+  sys.check_invariants();
+  // The first packet fires processor 0's trigger: it is dealt between
+  // its holder and three empty ledgers, and lands on exactly one.
+  sys.generate(0);
+  EXPECT_EQ(sys.balance_operations(), 2u);
+  int holders = 0;
+  for (std::uint32_t p = 0; p < 4; ++p) {
+    holders += sys.load(p) == 1 ? 1 : 0;
+    EXPECT_EQ(sys.processor(p).ledger.d(0), sys.load(p));
+  }
+  EXPECT_EQ(holders, 1);
+  sys.check_invariants();
+}
+
 TEST(System, LedgerRowTotalsMatchLoads) {
   System sys(6, cfg(1.2, 2), 8);
   const Workload wl = Workload::uniform(6, 200, 0.5, 0.3);
