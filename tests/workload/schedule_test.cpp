@@ -8,6 +8,7 @@
 
 #include "support/check.hpp"
 #include "support/rng.hpp"
+#include "workload/serving.hpp"
 #include "workload/workload.hpp"
 
 namespace dlb {
@@ -16,6 +17,16 @@ namespace {
 Workload make(std::uint32_t processors, std::uint32_t horizon,
               std::vector<std::vector<Phase>> phases) {
   return Workload(processors, horizon, std::move(phases), "test");
+}
+
+// A small serving scenario: every processor's phases start on the same
+// segment boundaries, so each step's boundary bucket holds many
+// processors at once.
+Workload serving(std::uint32_t processors, std::uint32_t horizon) {
+  ServingParams params;
+  params.sessions = 50000;
+  params.segment_steps = 20;
+  return ServingWorkload::build(processors, horizon, params, 77);
 }
 
 std::vector<std::uint32_t> active_ids(
@@ -94,6 +105,7 @@ TEST(ActiveSchedule, BatchedSamplingMatchesDenseSampling) {
       Workload::sparse_hotspot(64, 200, 5, 0.7, 0.3),
       Workload::wave(12, 120, 3),
       Workload::one_producer(8, 50),
+      serving(32, 150),
   };
   for (const Workload& wl : workloads) {
     Rng dense_rng(4242);
@@ -132,6 +144,7 @@ TEST(ActiveSchedule, StridedSchedulesPartitionTheFullSchedule) {
   const std::vector<Workload> workloads = {
       Workload::paper_benchmark(24, 150, params, layout),
       Workload::sparse_hotspot(64, 100, 7, 0.7, 0.3),
+      serving(40, 120),
   };
   for (const Workload& wl : workloads) {
     for (std::uint32_t stride : {1u, 3u, 4u}) {
