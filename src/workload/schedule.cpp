@@ -43,7 +43,10 @@ void ActiveSchedule::compile(const Workload& workload, std::uint32_t first,
   const std::size_t buckets = std::size_t{horizon_} + 2;
   std::vector<std::size_t> add_at(buckets, 0);
   std::vector<std::size_t> rem_at(buckets, 0);
-  std::vector<Boundary> found;  // the compiled phases, processor order
+  // The compiled phases, processor order; sized once from the phase
+  // count, which bounds them for a strided schedule too.
+  std::vector<Boundary> found;
+  found.reserve(workload.total_phases());
   for (std::uint32_t p = first; p < end; p += step) {
     for (const Phase& ph : workload.phases_of(p)) {
       if (ph.generate_prob == 0.0 && ph.consume_prob == 0.0)

@@ -164,8 +164,11 @@ Workload ServingWorkload::build(std::uint32_t processors,
     flashes.push_back(std::move(fl));
   }
 
-  std::vector<std::vector<Phase>> phases(n);
-  for (auto& list : phases) list.reserve(segments);
+  // Flat storage: segment s of processor p is phase p * segments + s.
+  std::vector<Phase> phases(std::size_t{n} * segments);
+  std::vector<std::uint32_t> offsets(std::size_t{n} + 1);
+  for (std::uint32_t p = 1; p <= n; ++p)
+    offsets[p] = offsets[p - 1] + segments;
   std::vector<std::uint32_t> tally(n);
   std::vector<double> boost(n);
   for (std::uint32_t s = 0; s < segments; ++s) {
@@ -194,7 +197,7 @@ Workload ServingWorkload::build(std::uint32_t processors,
           static_cast<double>(tally[p]) / static_cast<double>(draws);
       const double rate = params.offered_load * static_cast<double>(n) *
                           share * envelope * boost[p];
-      Phase ph;
+      Phase& ph = phases[std::size_t{p} * segments + s];
       ph.start = start;
       ph.end = end;
       // One packet per step is the model's unit; overloaded hot
@@ -202,13 +205,12 @@ Workload ServingWorkload::build(std::uint32_t processors,
       // balancer must spread.
       ph.generate_prob = std::min(1.0, std::max(0.0, rate));
       ph.consume_prob = params.service_prob;
-      phases[p].push_back(ph);
     }
   }
 
   char name[48];
   std::snprintf(name, sizeof(name), "serving-zipf(%.2f)", params.alpha);
-  return Workload(n, horizon, std::move(phases), name);
+  return Workload(n, horizon, std::move(phases), std::move(offsets), name);
 }
 
 }  // namespace dlb

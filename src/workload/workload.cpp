@@ -6,42 +6,68 @@
 
 namespace dlb {
 
+namespace {
+
+// Offsets of a workload whose first `active` processors hold one phase
+// each and whose other processors are idle.
+std::vector<std::uint32_t> leading_offsets(std::uint32_t processors,
+                                           std::uint32_t active) {
+  std::vector<std::uint32_t> offsets(std::size_t{processors} + 1);
+  for (std::uint32_t p = 0; p <= processors; ++p)
+    offsets[p] = std::min(p, active);
+  return offsets;
+}
+
+// How many back-to-back windows of `window` steps cover [0, horizon):
+// one processor's phase count in the windowed factories.
+std::size_t windows(std::uint32_t horizon, std::uint32_t window) {
+  return (std::size_t{horizon} + window - 1) / window;
+}
+
+}  // namespace
+
 Workload::Workload(std::uint32_t processors, std::uint32_t horizon,
-                   std::vector<std::vector<Phase>> phases, std::string name)
+                   std::vector<Phase> phases,
+                   std::vector<std::uint32_t> offsets, std::string name)
     : processors_(processors),
       horizon_(horizon),
       phases_(std::move(phases)),
+      offsets_(std::move(offsets)),
       name_(std::move(name)) {
   DLB_REQUIRE(processors_ >= 1, "workload needs at least one processor");
   DLB_REQUIRE(horizon_ >= 1, "workload needs a positive horizon");
-  DLB_REQUIRE(phases_.size() == processors_,
-              "one phase list per processor required");
-  for (const auto& list : phases_) {
-    std::uint32_t prev_end = 0;
-    bool first = true;
-    for (const auto& ph : list) {
-      DLB_REQUIRE(ph.start <= ph.end, "phase must have start <= end");
-      DLB_REQUIRE(first || ph.start > prev_end,
-                  "phases of a processor must be disjoint and sorted");
-      DLB_REQUIRE(ph.generate_prob >= 0.0 && ph.generate_prob <= 1.0,
-                  "generate probability out of [0,1]");
-      DLB_REQUIRE(ph.consume_prob >= 0.0 && ph.consume_prob <= 1.0,
-                  "consume probability out of [0,1]");
-      prev_end = ph.end;
-      first = false;
-    }
+  DLB_REQUIRE(offsets_.size() == std::size_t{processors_} + 1,
+              "one phase offset per processor plus the end required");
+  DLB_REQUIRE(offsets_.front() == 0, "the first phase offset must be 0");
+  DLB_REQUIRE(offsets_.back() == phases_.size(),
+              "the last phase offset must be the phase count");
+  // The offsets must not descend: a branch-free scan.  With the last
+  // offset equal to the phase count, every phase then lies in exactly
+  // one processor's run, and the phase pass moves a cursor to that run,
+  // so the idle processors past the last phase cost it nothing.  A phase
+  // must follow its predecessor unless it opens its run.
+  bool descends = false;
+  for (std::size_t p = 1; p < offsets_.size(); ++p)
+    descends |= offsets_[p] < offsets_[p - 1];
+  DLB_REQUIRE(!descends, "phase offsets must not descend");
+  std::size_t run_end = 1;  // offsets_ index closing phase i's run
+  for (std::size_t i = 0; i < phases_.size(); ++i) {
+    bool opens_run = i == 0;
+    for (; offsets_[run_end] <= i; ++run_end) opens_run = true;
+    const Phase& ph = phases_[i];
+    DLB_REQUIRE(ph.start <= ph.end, "phase must have start <= end");
+    DLB_REQUIRE(opens_run || ph.start > phases_[i - 1].end,
+                "phases of a processor must be disjoint and sorted");
+    DLB_REQUIRE(ph.generate_prob >= 0.0 && ph.generate_prob <= 1.0,
+                "generate probability out of [0,1]");
+    DLB_REQUIRE(ph.consume_prob >= 0.0 && ph.consume_prob <= 1.0,
+                "consume probability out of [0,1]");
   }
-}
-
-const std::vector<Phase>& Workload::phases_of(std::uint32_t processor) const {
-  DLB_REQUIRE(processor < processors_, "processor id out of range");
-  return phases_[processor];
 }
 
 const Phase* Workload::find_phase(std::uint32_t processor,
                                   std::uint32_t t) const {
-  DLB_REQUIRE(processor < processors_, "processor id out of range");
-  const auto& list = phases_[processor];
+  const std::span<const Phase> list = phases_of(processor);
   // Stateless lookup: phases are disjoint and sorted (checked by the
   // constructor), so the candidate is the first phase with end >= t.
   // Keeping this method free of writes makes concurrent sampling of one
@@ -80,7 +106,14 @@ Workload Workload::paper_benchmark(std::uint32_t processors,
                                    const WorkloadParams& params, Rng& rng) {
   DLB_REQUIRE(params.len_low >= 1 && params.len_low <= params.len_high,
               "phase length bounds inconsistent");
-  std::vector<std::vector<Phase>> phases(processors);
+  // Room for each processor's expected phase count plus one: the total
+  // seldom outgrows it, so the phases usually take one allocation.
+  const std::uint32_t mean_len =
+      static_cast<std::uint32_t>((std::uint64_t{params.len_low} +
+                                  params.len_high) / 2);
+  std::vector<Phase> phases;
+  phases.reserve(std::size_t{processors} * (horizon / mean_len + 2));
+  std::vector<std::uint32_t> offsets(std::size_t{processors} + 1, 0);
   for (std::uint32_t p = 0; p < processors; ++p) {
     std::uint32_t t = 0;
     while (t < horizon) {
@@ -92,48 +125,42 @@ Workload Workload::paper_benchmark(std::uint32_t processors,
           horizon - 1, std::uint64_t{t} + len - 1));
       ph.generate_prob = rng.uniform(params.g_low, params.g_high);
       ph.consume_prob = rng.uniform(params.c_low, params.c_high);
-      phases[p].push_back(ph);
+      phases.push_back(ph);
       t = ph.end + 1;
     }
+    offsets[p + 1] = static_cast<std::uint32_t>(phases.size());
   }
-  return Workload(processors, horizon, std::move(phases), "paper-benchmark");
+  return Workload(processors, horizon, std::move(phases), std::move(offsets),
+                  "paper-benchmark");
 }
 
 Workload Workload::one_producer(std::uint32_t processors,
                                 std::uint32_t horizon) {
-  std::vector<std::vector<Phase>> phases(processors);
-  phases[0].push_back(Phase{0, horizon - 1, 1.0, 0.0});
-  return Workload(processors, horizon, std::move(phases), "one-producer");
+  return Workload(processors, horizon, {Phase{0, horizon - 1, 1.0, 0.0}},
+                  leading_offsets(processors, 1), "one-producer");
 }
 
 Workload Workload::one_producer_consumer(std::uint32_t processors,
                                          std::uint32_t horizon, double g,
                                          double c) {
-  std::vector<std::vector<Phase>> phases(processors);
-  phases[0].push_back(Phase{0, horizon - 1, g, c});
-  return Workload(processors, horizon, std::move(phases),
-                  "one-producer-consumer");
+  return Workload(processors, horizon, {Phase{0, horizon - 1, g, c}},
+                  leading_offsets(processors, 1), "one-producer-consumer");
 }
 
 Workload Workload::uniform(std::uint32_t processors, std::uint32_t horizon,
                            double g, double c) {
-  std::vector<std::vector<Phase>> phases(processors);
-  for (auto& list : phases) list.push_back(Phase{0, horizon - 1, g, c});
-  return Workload(processors, horizon, std::move(phases), "uniform");
+  return Workload(processors, horizon,
+                  std::vector<Phase>(processors, Phase{0, horizon - 1, g, c}),
+                  leading_offsets(processors, processors), "uniform");
 }
 
 Workload Workload::hotspot(std::uint32_t processors, std::uint32_t horizon,
                            std::uint32_t hot, double hot_g, double cold_c) {
   DLB_REQUIRE(hot >= 1 && hot <= processors, "hotspot count out of range");
-  std::vector<std::vector<Phase>> phases(processors);
-  for (std::uint32_t p = 0; p < processors; ++p) {
-    if (p < hot) {
-      phases[p].push_back(Phase{0, horizon - 1, hot_g, 0.0});
-    } else {
-      phases[p].push_back(Phase{0, horizon - 1, 0.0, cold_c});
-    }
-  }
-  return Workload(processors, horizon, std::move(phases), "hotspot");
+  std::vector<Phase> phases(processors, Phase{0, horizon - 1, 0.0, cold_c});
+  std::fill_n(phases.begin(), hot, Phase{0, horizon - 1, hot_g, 0.0});
+  return Workload(processors, horizon, std::move(phases),
+                  leading_offsets(processors, processors), "hotspot");
 }
 
 Workload Workload::sparse_hotspot(std::uint32_t processors,
@@ -141,16 +168,17 @@ Workload Workload::sparse_hotspot(std::uint32_t processors,
                                   double g, double c) {
   DLB_REQUIRE(active >= 1 && active <= processors,
               "active count out of range");
-  std::vector<std::vector<Phase>> phases(processors);
-  for (std::uint32_t p = 0; p < active; ++p)
-    phases[p].push_back(Phase{0, horizon - 1, g, c});
-  return Workload(processors, horizon, std::move(phases), "sparse-hotspot");
+  return Workload(processors, horizon,
+                  std::vector<Phase>(active, Phase{0, horizon - 1, g, c}),
+                  leading_offsets(processors, active), "sparse-hotspot");
 }
 
 Workload Workload::wave(std::uint32_t processors, std::uint32_t horizon,
                         std::uint32_t window) {
   DLB_REQUIRE(window >= 1, "wave window must be positive");
-  std::vector<std::vector<Phase>> phases(processors);
+  std::vector<Phase> phases;
+  phases.reserve(std::size_t{processors} * windows(horizon, window));
+  std::vector<std::uint32_t> offsets(std::size_t{processors} + 1, 0);
   // Each processor is "hot" (generating) during a window that moves one
   // processor forward every `window` steps; outside its window it consumes.
   for (std::uint32_t p = 0; p < processors; ++p) {
@@ -168,17 +196,21 @@ Workload Workload::wave(std::uint32_t processors, std::uint32_t horizon,
         ph.generate_prob = 0.0;
         ph.consume_prob = 0.3;
       }
-      phases[p].push_back(ph);
+      phases.push_back(ph);
       t = ph.end + 1;
     }
+    offsets[p + 1] = static_cast<std::uint32_t>(phases.size());
   }
-  return Workload(processors, horizon, std::move(phases), "wave");
+  return Workload(processors, horizon, std::move(phases), std::move(offsets),
+                  "wave");
 }
 
 Workload Workload::bursty(std::uint32_t processors, std::uint32_t horizon,
                           std::uint32_t period, double g, double c) {
   DLB_REQUIRE(period >= 1, "burst period must be positive");
-  std::vector<std::vector<Phase>> phases(processors);
+  std::vector<Phase> phases;
+  phases.reserve(std::size_t{processors} * windows(horizon, period));
+  std::vector<std::uint32_t> offsets(std::size_t{processors} + 1, 0);
   for (std::uint32_t p = 0; p < processors; ++p) {
     std::uint32_t t = 0;
     bool generating = true;
@@ -188,18 +220,22 @@ Workload Workload::bursty(std::uint32_t processors, std::uint32_t horizon,
       ph.end = std::min(horizon - 1, t + period - 1);
       ph.generate_prob = generating ? g : 0.0;
       ph.consume_prob = generating ? 0.0 : c;
-      phases[p].push_back(ph);
+      phases.push_back(ph);
       t = ph.end + 1;
       generating = !generating;
     }
+    offsets[p + 1] = static_cast<std::uint32_t>(phases.size());
   }
-  return Workload(processors, horizon, std::move(phases), "bursty");
+  return Workload(processors, horizon, std::move(phases), std::move(offsets),
+                  "bursty");
 }
 
 Workload Workload::flip_flop(std::uint32_t processors, std::uint32_t horizon,
                              std::uint32_t period, double g, double c) {
   DLB_REQUIRE(period >= 1, "flip-flop period must be positive");
-  std::vector<std::vector<Phase>> phases(processors);
+  std::vector<Phase> phases;
+  phases.reserve(std::size_t{processors} * windows(horizon, period));
+  std::vector<std::uint32_t> offsets(std::size_t{processors} + 1, 0);
   for (std::uint32_t p = 0; p < processors; ++p) {
     std::uint32_t t = 0;
     bool first_half = p < processors / 2;
@@ -211,11 +247,13 @@ Workload Workload::flip_flop(std::uint32_t processors, std::uint32_t horizon,
       ph.end = std::min(horizon - 1, t + period - 1);
       ph.generate_prob = generating ? g : 0.0;
       ph.consume_prob = generating ? 0.0 : c;
-      phases[p].push_back(ph);
+      phases.push_back(ph);
       t = ph.end + 1;
     }
+    offsets[p + 1] = static_cast<std::uint32_t>(phases.size());
   }
-  return Workload(processors, horizon, std::move(phases), "flip-flop");
+  return Workload(processors, horizon, std::move(phases), std::move(offsets),
+                  "flip-flop");
 }
 
 }  // namespace dlb

@@ -10,10 +10,13 @@
 // flip-flop) used by tests and ablation benches.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace dlb {
@@ -53,15 +56,35 @@ struct WorkloadParams {
 /// horizon.  Resolving the randomness once (at construction) makes a
 /// workload replayable across algorithms, which is what the baseline
 /// comparison benches need — every algorithm sees the *same* demand.
+///
+/// Storage is flat: every processor's phases sit in one array in
+/// processor order, and processor p's are phases[offsets[p],
+/// offsets[p + 1]).  The phases take two heap blocks whatever n is, and
+/// an idle processor costs one 4-byte offset.
 class Workload {
  public:
+  /// `offsets` has processors + 1 entries: it starts at 0, never
+  /// descends and ends at phases.size().  Each processor's phases must
+  /// be sorted and disjoint, with start <= end and probabilities in
+  /// [0, 1].  One scan of the offsets and one of the phases check it
+  /// all.
   Workload(std::uint32_t processors, std::uint32_t horizon,
-           std::vector<std::vector<Phase>> phases, std::string name);
+           std::vector<Phase> phases, std::vector<std::uint32_t> offsets,
+           std::string name);
 
   std::uint32_t processors() const { return processors_; }
   std::uint32_t horizon() const { return horizon_; }
   const std::string& name() const { return name_; }
-  const std::vector<Phase>& phases_of(std::uint32_t processor) const;
+  /// Processor p's phases, sorted by start (empty for an idle
+  /// processor); valid as long as the workload.
+  std::span<const Phase> phases_of(std::uint32_t processor) const {
+    DLB_REQUIRE(processor < processors_, "processor id out of range");
+    return {phases_.data() + offsets_[processor],
+            phases_.data() + offsets_[processor + 1]};
+  }
+  /// Phases over all processors: an upper bound on any schedule's
+  /// compiled phases.
+  std::size_t total_phases() const { return phases_.size(); }
 
   /// Probability that `processor` generates at step t (0 outside phases).
   double generate_prob(std::uint32_t processor, std::uint32_t t) const;
@@ -129,7 +152,8 @@ class Workload {
  private:
   std::uint32_t processors_;
   std::uint32_t horizon_;
-  std::vector<std::vector<Phase>> phases_;
+  std::vector<Phase> phases_;
+  std::vector<std::uint32_t> offsets_;  // processors_ + 1 entries
   std::string name_;
 
   // Stateless (phases are sorted and disjoint: binary search); safe to

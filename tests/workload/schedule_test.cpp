@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "flat_workload.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "workload/serving.hpp"
@@ -15,8 +16,8 @@ namespace dlb {
 namespace {
 
 Workload make(std::uint32_t processors, std::uint32_t horizon,
-              std::vector<std::vector<Phase>> phases) {
-  return Workload(processors, horizon, std::move(phases), "test");
+              const std::vector<std::vector<Phase>>& phases) {
+  return flat_workload(processors, horizon, phases);
 }
 
 // A small serving scenario: every processor's phases start on the same

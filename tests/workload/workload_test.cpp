@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "flat_workload.hpp"
 #include "support/check.hpp"
 
 namespace dlb {
@@ -44,9 +45,7 @@ TEST(Workload, SampleMatchesProbabilities) {
 }
 
 TEST(Workload, OutsidePhaseIsIdle) {
-  std::vector<std::vector<Phase>> phases(1);
-  phases[0].push_back(Phase{10, 20, 0.5, 0.5});
-  const Workload wl(1, 100, std::move(phases), "test");
+  const Workload wl = flat_workload(1, 100, {{Phase{10, 20, 0.5, 0.5}}});
   EXPECT_DOUBLE_EQ(wl.generate_prob(0, 5), 0.0);
   EXPECT_DOUBLE_EQ(wl.generate_prob(0, 10), 0.5);
   EXPECT_DOUBLE_EQ(wl.generate_prob(0, 20), 0.5);
@@ -58,11 +57,10 @@ TEST(Workload, OutsidePhaseIsIdle) {
 }
 
 TEST(Workload, PhaseLookupSupportsRandomAccess) {
-  std::vector<std::vector<Phase>> phases(1);
-  phases[0].push_back(Phase{0, 9, 0.1, 0.0});
-  phases[0].push_back(Phase{10, 19, 0.2, 0.0});
-  phases[0].push_back(Phase{20, 29, 0.3, 0.0});
-  const Workload wl(1, 30, std::move(phases), "test");
+  const Workload wl = flat_workload(
+      1, 30,
+      {{Phase{0, 9, 0.1, 0.0}, Phase{10, 19, 0.2, 0.0},
+        Phase{20, 29, 0.3, 0.0}}});
   // Forward then backward: the cursor memo must not break correctness.
   EXPECT_DOUBLE_EQ(wl.generate_prob(0, 25), 0.3);
   EXPECT_DOUBLE_EQ(wl.generate_prob(0, 5), 0.1);
@@ -147,27 +145,80 @@ TEST(Workload, FlipFlopHalvesAlternate) {
 }
 
 TEST(Workload, InvalidPhasesRejected) {
-  {
-    std::vector<std::vector<Phase>> phases(1);
-    phases[0].push_back(Phase{10, 5, 0.5, 0.5});  // start > end
-    EXPECT_THROW(Workload(1, 100, std::move(phases), "bad"), contract_error);
-  }
-  {
-    std::vector<std::vector<Phase>> phases(1);
-    phases[0].push_back(Phase{0, 10, 0.5, 0.5});
-    phases[0].push_back(Phase{5, 20, 0.5, 0.5});  // overlap
-    EXPECT_THROW(Workload(1, 100, std::move(phases), "bad"), contract_error);
-  }
-  {
-    std::vector<std::vector<Phase>> phases(1);
-    phases[0].push_back(Phase{0, 10, 1.5, 0.5});  // probability > 1
-    EXPECT_THROW(Workload(1, 100, std::move(phases), "bad"), contract_error);
-  }
+  // start > end
+  EXPECT_THROW(flat_workload(1, 100, {{Phase{10, 5, 0.5, 0.5}}}),
+               contract_error);
+  // overlap
+  EXPECT_THROW(flat_workload(
+                   1, 100, {{Phase{0, 10, 0.5, 0.5}, Phase{5, 20, 0.5, 0.5}}}),
+               contract_error);
+  // probability > 1
+  EXPECT_THROW(flat_workload(1, 100, {{Phase{0, 10, 1.5, 0.5}}}),
+               contract_error);
 }
 
 TEST(Workload, WrongPhaseListCountRejected) {
-  std::vector<std::vector<Phase>> phases(3);
-  EXPECT_THROW(Workload(2, 100, std::move(phases), "bad"), contract_error);
+  EXPECT_THROW(flat_workload(2, 100, std::vector<std::vector<Phase>>(3)),
+               contract_error);
+}
+
+TEST(Workload, MalformedOffsetsRejected) {
+  const std::vector<Phase> phases = {Phase{0, 9, 0.5, 0.5},
+                                     Phase{10, 19, 0.5, 0.5},
+                                     Phase{0, 19, 0.5, 0.5}};
+  const auto build = [&](std::vector<std::uint32_t> offsets) {
+    return Workload(2, 20, phases, std::move(offsets), "bad");
+  };
+  EXPECT_NO_THROW(build({0, 2, 3}));
+  EXPECT_THROW(build({0, 2}), contract_error);        // too short
+  EXPECT_THROW(build({0, 2, 3, 3}), contract_error);  // too long
+  EXPECT_THROW(build({1, 2, 3}), contract_error);     // first offset != 0
+  EXPECT_THROW(build({0, 2, 1}), contract_error);     // last != phase count
+  EXPECT_THROW(build({0, 2, 4}), contract_error);     // last != phase count
+  // A descending pair that ends on the phase count: processor 0's run
+  // overshoots the phases, processor 1's runs backwards.
+  EXPECT_THROW(Workload(3, 20, phases, {0, 3, 1, 3}, "bad"), contract_error);
+  EXPECT_THROW(Workload(2, 20, phases, {0, 4, 3}, "bad"), contract_error);
+}
+
+TEST(Workload, PhaseOrderIsCheckedWithinEachProcessor) {
+  // Processor 1's phase starts before processor 0's ends: fine, they
+  // belong to different processors.
+  const Workload ok = flat_workload(
+      2, 20, {{Phase{0, 9, 0.5, 0.5}, Phase{10, 19, 0.5, 0.5}},
+              {Phase{0, 19, 0.5, 0.5}}});
+  EXPECT_EQ(ok.total_phases(), 3u);
+  // Unsorted inside processor 1's range.
+  EXPECT_THROW(
+      flat_workload(2, 20,
+                    {{Phase{0, 19, 0.5, 0.5}},
+                     {Phase{10, 19, 0.5, 0.5}, Phase{0, 9, 0.5, 0.5}}}),
+      contract_error);
+  // Overlapping inside processor 1's range.
+  EXPECT_THROW(
+      flat_workload(2, 20,
+                    {{Phase{0, 19, 0.5, 0.5}},
+                     {Phase{0, 10, 0.5, 0.5}, Phase{10, 19, 0.5, 0.5}}}),
+      contract_error);
+}
+
+TEST(Workload, IdleProcessorYieldsAnEmptySpan) {
+  const Workload wl = flat_workload(
+      3, 20, {{}, {Phase{0, 9, 0.5, 0.5}, Phase{10, 19, 0.2, 0.1}}, {}});
+  EXPECT_EQ(wl.total_phases(), 2u);
+  EXPECT_TRUE(wl.phases_of(0).empty());
+  EXPECT_TRUE(wl.phases_of(2).empty());
+  ASSERT_EQ(wl.phases_of(1).size(), 2u);
+  EXPECT_EQ(wl.phases_of(1)[1].start, 10u);
+  EXPECT_DOUBLE_EQ(wl.generate_prob(0, 5), 0.0);
+  EXPECT_DOUBLE_EQ(wl.generate_prob(1, 15), 0.2);
+  EXPECT_THROW(wl.phases_of(3), contract_error);
+  // The sparse factory: only the first `active` processors hold phases.
+  const Workload sparse = Workload::sparse_hotspot(1000, 50, 3, 0.7, 0.3);
+  EXPECT_EQ(sparse.total_phases(), 3u);
+  EXPECT_EQ(sparse.phases_of(2).size(), 1u);
+  EXPECT_TRUE(sparse.phases_of(3).empty());
+  EXPECT_TRUE(sparse.phases_of(999).empty());
 }
 
 }  // namespace
