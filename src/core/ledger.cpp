@@ -68,6 +68,32 @@ RebuildPass rebuild_pass(const std::uint32_t* cls, std::size_t k,
   return {out, real, borrowed, bad, own == kNoSlot ? out : own};
 }
 
+// Whether a dealt row holds an entry: some column with d or b nonzero.
+bool row_holds_entry(std::size_t k, const std::int64_t* d_vals,
+                     const std::int64_t* b_vals, std::size_t stride) {
+  for (std::size_t c = 0; c < k; ++c) {
+    if (d_vals[c * stride] != 0) return true;
+    if (b_vals != nullptr && b_vals[c * stride] != 0) return true;
+  }
+  return false;
+}
+
+// Ledger::rebuild_dealt's precise per-cell check: names the first
+// violation.
+void require_dealt_cells(const std::uint32_t* cls, std::size_t k,
+                         const std::int64_t* d_vals,
+                         const std::int64_t* b_vals, std::size_t stride,
+                         std::uint32_t classes) {
+  for (std::size_t c = 0; c < k; ++c) {
+    DLB_REQUIRE(cls[c] < classes, "load class out of range");
+    DLB_REQUIRE(c == 0 || cls[c] > cls[c - 1],
+                "class list must be strictly ascending");
+    DLB_REQUIRE(d_vals[c * stride] >= 0, "negative real count");
+    const std::int64_t b = b_vals != nullptr ? b_vals[c * stride] : 0;
+    DLB_REQUIRE(b == 0 || b == 1, "marker counts are 0 or 1 (paper, §4)");
+  }
+}
+
 }  // namespace
 
 Ledger::Ledger(std::uint32_t classes, std::uint32_t owner)
@@ -255,9 +281,20 @@ ClassCounts Ledger::rebuild_dealt(const std::uint32_t* cls, std::size_t k,
   // Every column writes its record unconditionally and the cursor only
   // moves past nonzero entries, so k records plus the sentinel must
   // exist; after the pass the live prefix just shrinks, leaving the
-  // records for the next deal.  An empty rebuild of a ledger that never
-  // held an entry keeps reading the shared sentinel.
-  if (k > 0) ensure_records(k + 1);
+  // records for the next deal.  A row with no entry writes record 0
+  // alone, so the row is inspected only when the records would grow,
+  // and grows only if it holds an entry.  An empty row for a ledger that
+  // never held an entry leaves it reading the shared sentinel: there is
+  // nothing to write, and its zero cells leave only the class order and
+  // range to check.
+  if (k + 1 > capacity_) {
+    if (row_holds_entry(k, d_vals, b_vals, stride)) {
+      ensure_records(k + 1);
+    } else if (capacity_ == 0) {
+      require_dealt_cells(cls, k, d_vals, b_vals, stride, classes_);
+      return {};
+    }
+  }
   const RebuildPass pass =
       b_vals != nullptr
           ? rebuild_pass<true>(cls, k, d_vals, b_vals, stride, owner_,
@@ -268,18 +305,9 @@ ClassCounts Ledger::rebuild_dealt(const std::uint32_t* cls, std::size_t k,
   own_ = static_cast<std::uint32_t>(pass.own);
   real_ = pass.real;
   borrowed_ = pass.borrowed;
-  if (capacity_ > 0) records_[size_] = {kEndClass, 0, 0};
-  if (pass.bad != 0 || (k > 0 && cls[k - 1] >= classes_)) {
-    // Precise re-check over the inputs: names the first violation.
-    for (std::size_t c = 0; c < k; ++c) {
-      DLB_REQUIRE(cls[c] < classes_, "load class out of range");
-      DLB_REQUIRE(c == 0 || cls[c] > cls[c - 1],
-                  "class list must be strictly ascending");
-      DLB_REQUIRE(d_vals[c * stride] >= 0, "negative real count");
-      const std::int64_t b = b_vals != nullptr ? b_vals[c * stride] : 0;
-      DLB_REQUIRE(b == 0 || b == 1, "marker counts are 0 or 1 (paper, §4)");
-    }
-  }
+  records_[size_] = {kEndClass, 0, 0};
+  if (pass.bad != 0 || (k > 0 && cls[k - 1] >= classes_))
+    require_dealt_cells(cls, k, d_vals, b_vals, stride, classes_);
   return {records_[own_].d, records_[own_].b};
 }
 

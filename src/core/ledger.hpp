@@ -168,7 +168,8 @@ class Ledger {
   /// construction; only the necessary condition k >= active count is
   /// checked here.  The post state depends on the given values alone,
   /// so the records are rebuilt in place by one pass, their only write
-  /// (the array grows only when k exceeds every earlier length).  The
+  /// (the array grows only when k exceeds every earlier length and the
+  /// row holds an entry: a row that ends empty never allocates).  The
   /// per-cell checks (d >= 0, b in {0, 1}, classes ascending) fold into
   /// one accumulator tested after the pass, with the class range checked
   /// on the last class; a call they reject leaves the ledger unspecified

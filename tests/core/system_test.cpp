@@ -111,6 +111,26 @@ TEST(System, DealsTakeInEmptyLedgers) {
   sys.check_invariants();
 }
 
+// A deal grows a participant's records only when its dealt row holds an
+// entry: the first packet's three empty partners still own no memory.
+TEST(System, EmptyDealRowsAllocateNothing) {
+  System sys(4, cfg(10.0, 3), 23);  // delta 3: every processor takes part
+  sys.generate(0);
+  ASSERT_EQ(sys.balance_operations(), 1u);
+  int empty = 0;
+  for (std::uint32_t p = 0; p < 4; ++p) {
+    if (sys.load(p) != 0) {
+      EXPECT_GT(sys.processor(p).ledger.memory_bytes(), 0u);
+      continue;
+    }
+    ++empty;
+    EXPECT_TRUE(sys.processor(p).ledger.records().empty());
+    EXPECT_EQ(sys.processor(p).ledger.memory_bytes(), 0u);
+  }
+  EXPECT_EQ(empty, 3);
+  sys.check_invariants();
+}
+
 TEST(System, LedgerRowTotalsMatchLoads) {
   System sys(6, cfg(1.2, 2), 8);
   const Workload wl = Workload::uniform(6, 200, 0.5, 0.3);
