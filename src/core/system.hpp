@@ -80,10 +80,8 @@ class AtomicCounter {
   std::atomic<std::uint64_t> value_;
 };
 
-/// State of one simulated processor: one cache line, aligned to one, so
-/// the run_async shards that own neighbouring processors never write
-/// the same line.
-struct alignas(64) ProcessorState {
+/// State of one simulated processor.
+struct ProcessorState {
   ProcessorState(std::uint32_t classes, std::uint32_t self)
       : ledger(classes, self) {}
 
@@ -95,8 +93,6 @@ struct alignas(64) ProcessorState {
   /// involved in (the t' of Theorem 4).
   std::uint64_t local_time = 0;
 };
-static_assert(sizeof(ProcessorState) == 64,
-              "ProcessorState must fill exactly one cache line");
 
 class System {
  public:
